@@ -115,6 +115,29 @@ def build_report(
     return report
 
 
+def _p99_problem(old: Dict[str, Any], new: Dict[str, Any]) -> Optional[str]:
+    """p99 regression of one workload, judged at the *reference's* top
+    sustained rate.  Each run's own top rung moves with its throughput,
+    so comparing those would read a throughput gain as a latency
+    regression."""
+    sustained = [step for step in old.get("steps", []) if step.get("sustained")]
+    if not sustained:
+        return None
+    ref = max(sustained, key=lambda step: step["offered_rate"])
+    rate = ref["offered_rate"]
+    at_rate = [step for step in new.get("steps", []) if step["offered_rate"] == rate]
+    if not at_rate:
+        return "no rung at the reference rate %r ops/s" % (rate,)
+    old_p99, new_p99 = ref.get("p99"), at_rate[0].get("p99")
+    # 20% relative plus a small absolute epsilon so microsecond jitter on
+    # a near-zero baseline cannot trip the gate.
+    if old_p99 is not None and new_p99 is not None and new_p99 > old_p99 * 1.2 + 0.005:
+        return "p99 latency regressed >20%% at %r ops/s: %.4f -> %.4f" % (
+            rate, old_p99, new_p99,
+        )
+    return None
+
+
 def check_against(
     report: Dict[str, Any], committed: Dict[str, Any]
 ) -> List[str]:
@@ -148,16 +171,9 @@ def check_against(
                     "%s: max sustainable throughput regressed >20%%: "
                     "%r -> %r ops/s" % (name, old_tp, new_tp)
                 )
-        old_p99 = (old.get("latency") or {}).get("p99")
-        new_p99 = (new.get("latency") or {}).get("p99")
-        if old_p99 is not None and new_p99 is not None:
-            # 20% relative plus a small absolute epsilon so microsecond
-            # jitter on a near-zero baseline cannot trip the gate.
-            if new_p99 > old_p99 * 1.2 + 0.005:
-                problems.append(
-                    "%s: p99 latency regressed >20%%: %.4f -> %.4f"
-                    % (name, old_p99, new_p99)
-                )
+        problem = _p99_problem(old, new)
+        if problem:
+            problems.append("%s: %s" % (name, problem))
     return problems
 
 

@@ -10,13 +10,15 @@ Since PR 5 the transport defaults to the *adaptive windowed* mode:
 * **selective retransmission** — the receiver reports out-of-order
   arrivals as SACK ranges and the sender resends only the genuinely
   missing calls (instead of the whole unacknowledged go-back-N tail);
-* **flow control** — the receiver advertises a call window derived from
-  its executing/reply-log backlog and the sender never keeps more than
-  that many calls in flight (``max_inflight_calls`` is both the sender's
-  hard cap and the receiver's window ceiling; ``0`` disables the window);
+* **flow control** — the sender never keeps more than
+  ``max_inflight_calls`` calls transmitted but unresolved, against the
+  cap the receiver advertises (its own ``max_inflight_calls``), which
+  bounds the receiver's executing + reply-log + out-of-order holdings;
+  ``0`` disables the window;
 * **self-tuning batching** — an AIMD controller grows the effective batch
   size from ``batch_size`` toward ``max_batch_size`` while acks flow
-  cleanly and halves it on retransmissions and breaks;
+  cleanly and halves it on retransmissions and breaks, and the receiver
+  sizes its reply batches to the call packets it sees;
 * **adaptive RTO** — Jacobson SRTT/RTTVAR estimation (with exponential
   backoff) replaces the fixed ``rto``, which remains the pre-sample
   initial value.
@@ -54,12 +56,17 @@ class StreamConfig:
     #: stream ("the system tries hard to deliver messages before breaking").
     max_retries: int = 4
     #: Receiver-side: transmit the reply buffer at this many entries.
+    #: Under adaptive batching this is the *floor* of the reply batch:
+    #: the trigger follows the size of the sender's first-transmission
+    #: call packets, up to ``max_batch_size``.
     reply_batch_size: int = 8
     #: Receiver-side: transmit a non-empty reply buffer at latest this long
     #: after its first entry arrived.
     reply_max_delay: float = 5.0
     #: Receiver-side: send a bare acknowledgement if calls have gone this
-    #: long without any reply traffic to piggyback on.
+    #: long without any reply traffic to piggyback on (a flushed call
+    #: whose handler is still running is acknowledged by its reply, or by
+    #: this timer if the handler outlasts it).
     ack_delay: float = 10.0
     #: Sender-side: after replies are resolved, send a bare
     #: acknowledgement packet at latest this long after the last outgoing
@@ -92,9 +99,10 @@ class StreamConfig:
     min_rto: float = 2.0
     max_rto: float = 60.0
     #: Flow-control window: the most calls the sender keeps in flight
-    #: (transmitted, unacknowledged) and the ceiling on the window the
-    #: receiver advertises from its backlog.  ``0`` disables flow control
-    #: entirely (the legacy unbounded behaviour).
+    #: (transmitted, outcome not yet resolved), enforced by the sender
+    #: against the cap the receiver advertises — the receiver's own value
+    #: of this field.  ``0`` disables flow control entirely (the legacy
+    #: unbounded behaviour).
     max_inflight_calls: int = 256
 
     def __post_init__(self) -> None:

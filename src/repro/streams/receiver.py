@@ -143,10 +143,12 @@ class StreamReceiver:
         self._next_outcome_seq = 1
         self._last_acked_call = 0
         self._last_sent_completed = 0
-        #: Window carried by the most recent reply packet (None before the
-        #: first one); lets a prune-driven re-opening trigger an explicit
-        #: window update instead of waiting for the next natural reply.
-        self._last_advertised_window: Optional[int] = None
+        #: Reply-buffer size trigger.  Under adaptive batching it mirrors
+        #: the size of the sender's first-transmission call packets: a
+        #: sender shipping 64 calls a packet has already traded first-call
+        #: latency for throughput, and AIMD halving after loss shrinks
+        #: the reply batches with it.  ``reply_batch_size`` is the floor.
+        self._reply_batch = self.config.reply_batch_size
         self._reply_alarm = Alarm(env, self._on_reply_deadline)
         self._ack_alarm = Alarm(env, self._on_ack_deadline)
 
@@ -155,9 +157,14 @@ class StreamReceiver:
     # ------------------------------------------------------------------
     def on_call_packet(self, packet: CallPacket) -> None:
         """Process an incoming batch of call requests."""
-        # The sender has resolved replies up to ack_reply_seq; forget them.
-        for seq in [s for s in self._reply_log if s <= packet.ack_reply_seq]:
-            del self._reply_log[seq]
+        # The sender has resolved replies up to ack_reply_seq; forget them
+        # (the log is insertion-ordered by seq, so they form a prefix).
+        reply_log = self._reply_log
+        while reply_log:
+            seq = next(iter(reply_log))
+            if seq > packet.ack_reply_seq:
+                break
+            del reply_log[seq]
 
         if self.broken is not None:
             # "further calls on that stream will be discarded at the
@@ -172,7 +179,9 @@ class StreamReceiver:
         # the sender: an asynchronous break, as §2 specifies.
         resend_needed = False
         new_out_of_order = False
-        entries = sorted(packet.entries, key=lambda entry: entry.seq)
+        # The sender emits entries in seq order; a foreign order would
+        # only detour through the out-of-order buffer.
+        entries = packet.entries
         for entry in entries:
             if self.broken is not None:
                 break
@@ -198,21 +207,46 @@ class StreamReceiver:
         if packet.synch_seq is not None:
             if self._pending_synch_seq is None or packet.synch_seq > self._pending_synch_seq:
                 self._pending_synch_seq = packet.synch_seq
-        if packet.flush_replies and entries and packet.attempt == 0:
+        adaptive = self.config.selective_retransmit
+        if entries and packet.attempt == 0 and self.config.adaptive_batching:
+            size = min(len(entries), self.config.max_batch_size)
+            # A flush travels with the tail of a burst — whatever was left
+            # over, not the sender's batch size: it may raise the trigger
+            # but not lower it.
+            if size > self._reply_batch or not packet.flush_replies:
+                self._reply_batch = max(self.config.reply_batch_size, size)
+        routine_flush = packet.flush_replies and packet.attempt == 0
+        if routine_flush:
             # The calls that travelled *with* an explicit flush are its
             # "last few calls": their replies go out as soon as produced.
             # Earlier calls keep normal reply batching, and retransmission
             # probes (attempt > 0) only flush current state below — they
             # must not disable batching for everything they happen to
             # carry.
-            self._flush_through_range = (
-                min(entry.seq for entry in entries),
-                max(entry.seq for entry in entries),
-            )
+            if entries:
+                seqs = [entry.seq for entry in entries]
+                self._flush_through_range = (min(seqs), max(seqs))
+            elif adaptive:
+                # The batch trigger had already pushed every call: the
+                # flush covers whatever is still queued or executing.
+                self._flush_through_range = (
+                    self.completed_seq + 1,
+                    self.expected_seq - 1,
+                )
 
         if resend_needed:
             # Lost replies suspected: retransmit everything unacknowledged.
             self._flush_replies(include_log=True)
+        elif (
+            adaptive
+            and routine_flush
+            and not self._reply_buffer
+            and self.completed_seq < self._flush_through_range[1] < self.expected_seq
+        ):
+            # Its calls are queued or executing: their completion sends
+            # the reply, which carries everything a pure ack would say
+            # now.  The ack alarm covers a long handler.
+            self._ack_alarm.arm_if_idle(self.config.ack_delay)
         elif packet.flush_replies and (
             self._reply_buffer or self._reply_log or self._ack_outstanding()
         ):
@@ -225,22 +259,13 @@ class StreamReceiver:
             # probes — resending the log there is pure duplication, and
             # actual reply loss still surfaces as an attempt > 0 probe
             # when the sender's RTO fires.
-            self._flush_replies(
-                include_log=not self.config.selective_retransmit
-                or packet.attempt > 0
-            )
-        elif new_out_of_order and self.config.selective_retransmit:
+            self._flush_replies(include_log=not adaptive or packet.attempt > 0)
+        elif new_out_of_order and adaptive:
             # A gap just opened (or widened): tell the sender immediately
             # which seqs we hold, so its selective retransmission — and the
             # duplicate-ack fast path — can react before the RTO expires.
             self._flush_replies()
         elif self._pending_synch_seq is not None and self.completed_seq >= self._pending_synch_seq:
-            self._flush_replies()
-        elif self._window_update_due():
-            # The ack we just absorbed pruned the reply log enough to
-            # re-open a significant chunk of window; a sender stalled on
-            # our last (small) advertisement only learns that from a reply
-            # packet, so send one now rather than leaving it blocked.
             self._flush_replies()
         elif self._ack_outstanding():
             self._ack_alarm.arm_if_idle(self.config.ack_delay)
@@ -344,7 +369,7 @@ class StreamReceiver:
 
         if kind == KIND_RPC:
             self._flush_replies()
-        elif len(self._reply_buffer) >= self.config.reply_batch_size:
+        elif len(self._reply_buffer) >= self._reply_batch:
             self._flush_replies()
         elif self.config.reply_max_delay == 0.0 and self._reply_buffer:
             self._flush_replies()
@@ -421,40 +446,11 @@ class StreamReceiver:
         ranges.append((lo, prev))
         return tuple(ranges)
 
-    def _advertised_window(self) -> Optional[int]:
-        """The flow-control window derived from our backlog.
-
-        Backlog = calls delivered but not yet completed (executing) plus
-        unacknowledged replies held in the log plus out-of-order holdings.
-        Floored at one so the stream always admits *some* progress — the
-        bound on receiver memory is ``max_inflight_calls`` plus that one
-        probe batch, not an absolute cap.
-        """
-        limit = self.config.max_inflight_calls
-        if limit <= 0:
-            return None
-        backlog = (
-            (self.expected_seq - 1 - self.completed_seq)
-            + len(self._reply_log)
-            + len(self._out_of_order)
-        )
-        return max(1, limit - backlog)
-
-    def _window_update_due(self) -> bool:
-        """Did pruning re-open enough window to be worth announcing?"""
-        limit = self.config.max_inflight_calls
-        if limit <= 0 or self.broken is not None:
-            return False
-        last = self._last_advertised_window
-        if last is None:
-            return False
-        return self._advertised_window() - last >= max(1, limit // 4)
-
     def _flush_replies(self, include_log: bool = False) -> None:
         self._reply_alarm.cancel()
         self._ack_alarm.cancel()
         if include_log:
-            entries = sorted(self._reply_log.values(), key=lambda e: e.seq)
+            entries = list(self._reply_log.values())
             self._reply_buffer = []
         else:
             entries, self._reply_buffer = self._reply_buffer, []
@@ -467,7 +463,9 @@ class StreamReceiver:
             completed_seq=self.completed_seq,
             broken=self.broken,
             sack_ranges=sack_ranges,
-            window=self._advertised_window(),
+            # Our cap on transmitted-but-unresolved calls; the sender does
+            # the accounting (StreamSender._window_allowance).
+            window=self.config.max_inflight_calls or None,
         )
         message = Message(
             self.key.dst_node,
@@ -482,7 +480,6 @@ class StreamReceiver:
             return
         self._last_acked_call = self.expected_seq - 1
         self._last_sent_completed = self.completed_seq
-        self._last_advertised_window = packet.window
         self.stats.reply_packets_sent += 1
         if not entries:
             self.stats.pure_acks_sent += 1

@@ -13,8 +13,9 @@ thus are sequenced" (§2).  It implements:
   acknowledgements plus — in the default adaptive mode — SACK-driven
   *selective* retransmission (go-back-N remains available as the legacy
   mode);
-* sender-side flow control against the window the receiver advertises
-  from its backlog, so bulk workloads cannot overrun receiver memory;
+* sender-side flow control: transmitted-but-unresolved calls never
+  exceed the cap the receiver advertises, so bulk workloads cannot
+  overrun receiver memory (see :meth:`StreamSender._window_allowance`);
 * AIMD self-tuning of the batch size and a Jacobson SRTT/RTTVAR estimate
   driving the retransmission timeout (see DESIGN.md §11);
 * in-call-order resolution of promises ("if the i+1st result is ready,
@@ -29,6 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.concurrency.critical import is_wounded
 from repro.core.exceptions import ExceptionReply, Failure, Unavailable
 from repro.core.outcome import Outcome
 from repro.core.promise import Promise
@@ -140,6 +142,8 @@ class StreamSender:
     def _reset_incarnation_state(self) -> None:
         self._next_seq = 1
         self._next_resolve = 1
+        #: Highest seq transmitted so far (the top of the flight).
+        self._sent_seq = 0
         self._buffer: List[CallEntry] = []
         #: Entries released from the buffer (batch trigger / flush) but
         #: held back by the flow-control window, in seq order.
@@ -160,7 +164,7 @@ class StreamSender:
         #: First-transmission times per seq (Karn: cleared on retransmit),
         #: feeding the RTT estimator.
         self._send_times: Dict[int, float] = {}
-        #: Latest window the receiver advertised (None until it speaks).
+        #: Latest cap the receiver advertised (None until it speaks).
         self._window: Optional[int] = None
         # Duplicate-ack tracking for fast retransmission.
         self._dupack_seq = -1
@@ -449,28 +453,38 @@ class StreamSender:
     def _check_usable(self) -> None:
         # A wounded process (termination pending, delayed by a critical
         # section) "cannot make any remote calls at such a point" (§4.2).
-        from repro.concurrency.critical import is_wounded
-
         if is_wounded(self.env.active_process):
             raise Unavailable("process is wounded; remote calls are refused")
         if self.broken:
             exc = self._break_exception or Unavailable("stream is broken")
             raise type(exc)(*exc.args)
 
+    def _inflight(self) -> int:
+        """Transmitted calls whose outcome is not yet resolved here."""
+        return self._sent_seq - (self._next_resolve - 1)
+
     def _window_allowance(self) -> Optional[int]:
-        """How many more calls may enter flight; None = no window (legacy)."""
+        """How many more calls may enter flight; None = no window (legacy).
+
+        The flight is bounded by our own ``max_inflight_calls`` and the
+        cap the receiver advertises.  That bounds receiver memory without
+        any backlog report: calls and ``ack_reply_seq`` travel in the same
+        packet and the receiver prunes before it delivers, so after the
+        delivered packet with the highest seq *h*, sent when *R* calls
+        were resolved, it holds (executing + reply log + out-of-order)
+        only seqs in (R, h] — at most the cap, under loss, duplication
+        and reordering alike.
+        """
         limit = self.config.max_inflight_calls
         if limit <= 0:
             return None
-        window = self._window
-        if window is None or window > limit:
-            window = limit
-        inflight = len(self._unacked)
-        if inflight == 0:
+        cap = limit if self._window is None else min(limit, self._window)
+        inflight = self._inflight()
+        if inflight <= 0:
             # Never let a zero advertisement wedge an idle stream: one
-            # probe batch may always fly — its ack re-advertises.
-            return max(1, window)
-        return window - inflight
+            # probe may always fly.
+            return max(1, cap)
+        return cap - inflight
 
     def _flush_buffer(
         self,
@@ -519,7 +533,8 @@ class StreamSender:
                 send_times = self._send_times
                 for entry in entries:
                     send_times[entry.seq] = now
-            inflight = len(unacked)
+            self._sent_seq = entries[-1].seq
+            inflight = self._inflight()
             if inflight > self.stats.max_inflight:
                 self.stats.max_inflight = inflight
         if not entries and not force:
@@ -545,7 +560,7 @@ class StreamSender:
                 "stream.window_stall",
                 stream=self.trace_label,
                 incarnation=self.incarnation,
-                inflight=len(self._unacked),
+                inflight=self._inflight(),
                 window=self._window,
                 deferred=deferred,
             )
@@ -613,15 +628,8 @@ class StreamSender:
             return
         if self._next_resolve - 1 <= self._sent_ack_reply_seq:
             return
-        if self._buffer:
+        if self._buffer or self._ready:
             return  # an outgoing call packet will carry the ack shortly
-        if self._ready:
-            allowance = self._window_allowance()
-            if allowance is None or allowance > 0:
-                return  # deferred calls can fly; their packet carries it
-            # Window-blocked: no call packet is coming, and the receiver
-            # needs this ack to prune its reply log (which is what is
-            # holding the window shut).  Fall through to the bare ack.
         self._transmit([], False, None)
 
     def _on_rto(self) -> None:
@@ -779,23 +787,10 @@ class StreamSender:
             self.stats.reply_gap_probes += 1
             self._transmit([], True, None, attempt=1)
 
-        # Flow control pump: acknowledged calls freed window space (or the
-        # receiver advertised a bigger window); push deferred entries.
-        if self._ready and not self.broken:
-            allowance = self._window_allowance()
-            if allowance is None or allowance > 0:
-                self._push(self._pending_flush_replies, self._pending_synch_seq)
-            elif (
-                self._next_resolve - 1 - self._sent_ack_reply_seq
-                >= max(1, config.max_inflight_calls // 4)
-            ):
-                # Still blocked, and a quarter-window of resolved replies
-                # is unacknowledged: ack now, so the receiver prunes its
-                # reply log and re-opens the window, instead of waiting
-                # out the reply_ack_delay while the stream sits stalled.
-                # (The quarter-window threshold keeps this from degrading
-                # into one bare ack per arriving reply packet.)
-                self._transmit([], False, None)
+        # Flow control pump: resolved calls left the flight; push deferred
+        # entries (there are none without a window) into the freed space.
+        if self._ready and not self.broken and self._window_allowance() > 0:
+            self._push(self._pending_flush_replies, self._pending_synch_seq)
 
     def _consider_fast_retransmit(self, packet: ReplyPacket) -> None:
         """Duplicate-ack fast retransmission.

@@ -32,6 +32,7 @@ __all__ = [
     "client_effects_exactly_once",
     "client_promise_claims",
     "client_coenter",
+    "client_sequential_rpcs",
     "client_flow_control",
     "client_span_flow",
 ]
@@ -170,6 +171,16 @@ def client_coenter(ctx):
         co.arm(_coenter_arm, n)
     results = yield co.run()
     return results
+
+
+def client_sequential_rpcs(ctx):
+    """20 blocking RPCs, one at a time."""
+    echo = ctx.lookup("echo", "echo")
+    values = []
+    for i in range(20):
+        value = yield echo.call(i)
+        values.append(value)
+    return values
 
 
 def client_flow_control(ctx):

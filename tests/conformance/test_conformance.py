@@ -87,6 +87,25 @@ def test_stream_flow_control(backend):
     assert_invariants(result)
 
 
+def test_rpc_costs_two_datagrams(backend):
+    """One call packet out, one reply packet back per RPC: the reply
+    carries the acknowledgement, the next call carries the reply's.
+
+    Every timer that could add a bare ack or a probe is set far beyond
+    the run, so a scheduling hiccup on the wallclock backend cannot."""
+    config = StreamConfig(
+        rto=2000.0, max_rto=4000.0, ack_delay=1000.0, reply_ack_delay=1000.0
+    )
+    result = backend.run(
+        apps.ECHO_WORLD, apps.client_sequential_rpcs, stream_config=config
+    )
+    assert result.value == [3 * i + 1 for i in range(20)]
+    for etype in ("stream.packet_sent", "stream.reply_packet_sent"):
+        sent = [ev for ev in result.all_events() if ev.type == etype]
+        assert len(sent) == 20, (etype, len(sent))
+    assert_invariants(result)
+
+
 def test_span_propagation(backend):
     """Client-minted trace ids surface in server-side executing events."""
     result = backend.run(apps.ECHO_WORLD, apps.client_span_flow)

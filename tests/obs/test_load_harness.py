@@ -223,9 +223,11 @@ def test_stepped_search_rejects_empty_ladder():
 # ----------------------------------------------------------------------
 # The CI gate (run_load --check-against)
 # ----------------------------------------------------------------------
-def make_gate_report(mode="quick", tp=1000.0, p99=0.02, slo_ok=True):
+def make_gate_report(mode="quick", tp=1000.0, p99=0.02, slo_ok=True, steps=None):
     from benchmarks.load.run_load import check_against  # noqa: F401
 
+    if steps is None:
+        steps = [(1000.0, p99, True)]
     return {
         "mode": mode,
         "slo": {
@@ -249,6 +251,10 @@ def make_gate_report(mode="quick", tp=1000.0, p99=0.02, slo_ok=True):
             "echo": {
                 "max_sustainable_throughput": tp,
                 "latency": {"p99": p99},
+                "steps": [
+                    {"offered_rate": rate, "p99": step_p99, "sustained": sustained}
+                    for rate, step_p99, sustained in steps
+                ],
             }
         },
     }
@@ -284,6 +290,23 @@ def test_gate_fails_on_p99_regression_over_20_percent():
         make_gate_report(p99=0.1), make_gate_report(p99=0.02)
     )
     assert any("p99 latency regressed" in problem for problem in problems)
+
+
+def test_gate_compares_p99_at_the_reference_rate():
+    """A run that sustains a higher rung is judged at the reference's
+    top sustained rate, not at its own (slower) top rung."""
+    from benchmarks.load.run_load import check_against
+
+    def ladder(p99_at_200, top_sustained):
+        return [(100.0, 0.03, True), (200.0, p99_at_200, True), (400.0, 0.07, top_sustained)]
+
+    old = make_gate_report(tp=200.0, steps=ladder(0.04, False))
+    faster = make_gate_report(tp=400.0, p99=0.07, steps=ladder(0.038, True))
+    assert check_against(faster, old) == []
+    slower = make_gate_report(tp=400.0, p99=0.07, steps=ladder(0.06, True))
+    assert any("at 200.0 ops/s" in problem for problem in check_against(slower, old))
+    other_ladder = make_gate_report(tp=400.0, steps=[(400.0, 0.03, True)])
+    assert any("no rung" in problem for problem in check_against(other_ladder, old))
 
 
 def test_gate_fails_on_slo_breach():
