@@ -8,14 +8,8 @@ into a units/sec rate and sanity-check the run did what it claims).
 The "before" numbers in ``baseline_pr7.json`` were recorded by running
 these same workloads against the pre-PR-7 tree (heapq kernel, per-value
 struct codecs), so fresh runs are directly comparable to the committed
-baseline.
-
-History: ``kernel_events`` originally (BENCH_PR2) measured Timeout-object
-churn.  PR 7 re-points it at the kernel's bare callback lane — the path
-every network delivery, RTO timer, alarm and vat drain actually takes —
-and keeps the original workload as ``kernel_events_legacy`` so the old
-number stays measurable.  Both variants were re-baselined on the old
-kernel before the timer-wheel change landed.
+baseline — except ``stream_calls``, which has no "before": it now runs
+the default stream transport, which that tree's numbers did not.
 """
 
 from __future__ import annotations
@@ -31,10 +25,8 @@ from repro.types import INT, REAL, STRING, ArrayOf, HandlerType, RecordOf
 
 __all__ = [
     "kernel_events",
-    "kernel_events_legacy",
     "timer_wheel",
     "network_messages",
-    "network_messages_legacy",
     "stream_calls",
     "codec_bytes",
     "WORKLOADS",
@@ -79,28 +71,6 @@ def kernel_events(n: int) -> int:
     return n
 
 
-def kernel_events_legacy(n: int) -> int:
-    """The original BENCH_PR2 kernel workload: Timeout-object churn.
-
-    Kept verbatim so the PR 2 number stays measurable; the per-event cost
-    here is dominated by Event/Timeout construction, which is why PR 7's
-    headline ``kernel_events`` measures the callback lane instead.
-    """
-    env = Environment()
-    fired = []
-    append = fired.append
-
-    def record(event) -> None:
-        append(event)
-
-    for index in range(n):
-        timer = env.timeout((index % 97) * 0.25)
-        timer.callbacks.append(record)
-    env.run()
-    assert len(fired) == n
-    return n
-
-
 def timer_wheel(n: int) -> int:
     """Alarm churn: arm/re-arm/cancel over a small pool, RTO-style.
 
@@ -139,11 +109,6 @@ def network_messages(n: int) -> int:
     bounded the way any real run's does (the NIC spaces sends 0.1 apart
     against a 1.0 latency, so genuine steady-state depth is ~11
     messages) instead of holding all *n* datagrams live at once.
-
-    History: the original BENCH_PR2 shape — one unbounded burst of
-    default (``want_done=True``) sends — is kept verbatim as
-    :func:`network_messages_legacy`; both variants' "before" rates in
-    ``baseline_pr7.json`` were measured on the pre-PR-7 engine.
     """
     env = Environment()
     network = Network(env, latency=1.0, kernel_overhead=0.1)
@@ -165,46 +130,17 @@ def network_messages(n: int) -> int:
     return n
 
 
-def network_messages_legacy(n: int) -> int:
-    """The original BENCH_PR2 network workload, kept verbatim.
-
-    One unbounded burst of default (``want_done=True``) sends: all *n*
-    messages are simultaneously in flight, so the measurement is
-    dominated by garbage-collector pressure from the n-deep backlog and
-    by a done-Event per send that no production caller requests.
-    """
-    env = Environment()
-    network = Network(env, latency=1.0, kernel_overhead=0.1)
-    network.add_node("a")
-    receiver = network.add_node("b")
-    delivered = []
-    receiver.register("inbox", delivered.append)
-    for index in range(n):
-        network.send(Message("a", "b", "inbox", index, 32))
-    env.run()
-    assert len(delivered) == n
-    return n
-
-
 def stream_calls(n: int) -> int:
     """End-to-end stream calls/sec for the E1 stream-vs-RPC scenario.
 
     A client streams *n* echo calls (batch size 16), flushes, and claims
     every promise — the full sender/network/receiver/dispatch/reply path.
     """
-    # rto is effectively infinite: the client buffers every call up front,
-    # so at large n the first ack legitimately takes longer than any
-    # realistic retransmission budget; retries would only distort the
-    # wall-clock measurement with extra (simulated-lost) traffic.
-    # Legacy fixed-function transport: this workload is the BENCH_PR2
-    # baseline, so its numbers must stay comparable across PRs (the
-    # adaptive transport is measured separately in transport_bench.py).
-    config = StreamConfig.legacy(
+    config = StreamConfig(
         batch_size=16,
         reply_batch_size=16,
         max_buffer_delay=2.0,
         reply_max_delay=2.0,
-        rto=1e9,
     )
     system = ArgusSystem(
         latency=LATENCY, kernel_overhead=KERNEL_OVERHEAD, stream_config=config
@@ -230,6 +166,9 @@ def stream_calls(n: int) -> int:
     total, sender_stats = system.run(until=process)
     assert total == n * (n - 1) // 2
     assert sender_stats["calls_made"] == n
+    # The client buffers every call up front; the window paces them out,
+    # so no retransmission distorts the wall-clock measurement.
+    assert sender_stats["retransmissions"] == 0
     assert sender_stats["breaks"] == 0
     return n
 
@@ -258,10 +197,8 @@ def codec_bytes(n: int) -> int:
 #: name -> (workload, full-run n, --quick n)
 WORKLOADS = {
     "kernel_events": (kernel_events, 200_000, 20_000),
-    "kernel_events_legacy": (kernel_events_legacy, 200_000, 20_000),
     "timer_wheel": (timer_wheel, 200_000, 20_000),
     "network_messages": (network_messages, 20_000, 2_000),
-    "network_messages_legacy": (network_messages_legacy, 20_000, 2_000),
     "stream_calls": (stream_calls, 20_000, 2_000),
     "codec_bytes": (codec_bytes, 100_000, 10_000),
 }

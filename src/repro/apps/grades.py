@@ -113,15 +113,14 @@ def build_grades_world(
 ) -> GradesWorld:
     """Construct the three-guardian grades world on a fresh system.
 
-    The default stream config is :meth:`StreamConfig.legacy`: this world
-    is the paper-replication scenario (Fig 3-1 / E3) whose wire-message
-    counts and golden trace are pinned against the 1988 fixed-function
-    transport.  Pass an explicit ``stream_config`` to run it adaptively.
+    This world is the paper-replication scenario (Fig 3-1 / E3) whose
+    wire-message counts and golden trace are pinned under the default
+    stream config.
     """
     system = ArgusSystem(
         latency=latency,
         kernel_overhead=kernel_overhead,
-        stream_config=stream_config or StreamConfig.legacy(),
+        stream_config=stream_config,
         **system_kwargs,
     )
     return GradesWorld(system, record_cost, print_cost)

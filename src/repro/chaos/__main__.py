@@ -59,9 +59,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     total = 0
     for workload in roster:
         for seed in seeds:
-            result = run_one(
-                workload, seed, intensity=args.intensity, profile=args.profile
-            )
+            result = run_one(workload, seed, intensity=args.intensity)
             total += 1
             if result.failed:
                 failures.append(result)
@@ -101,7 +99,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     schedule,
                     intensity=result.intensity,
                     progress=lambda note: print("  shrink[%s]: %s" % (stem, note)),
-                    profile=args.profile,
                 )
                 schedule = report.schedule
                 result = report.result
@@ -118,7 +115,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 intensity=result.intensity,
                 schedule=schedule,
                 trace_path=trace_path,
-                profile=args.profile,
             )
             print("  artifacts: %s %s" % (seed_path, trace_path))
     return 1 if failures else 0
@@ -208,12 +204,6 @@ def main(argv: List[str] = None) -> int:
     p_run.add_argument("--seeds", default="0:25", help="A:B range or comma list")
     p_run.add_argument(
         "--intensity", default="default", choices=sorted(INTENSITIES)
-    )
-    p_run.add_argument(
-        "--profile",
-        default="legacy",
-        choices=("legacy", "adaptive"),
-        help="transport profile (legacy fixed-function or PR 5 adaptive)",
     )
     p_run.add_argument(
         "--artifacts", default=None, help="directory for failure artifacts"

@@ -31,7 +31,7 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.schedule import ChaosSchedule
-from repro.chaos.workloads import create_workload
+from repro.chaos.workloads import CHAOS_STREAM_CONFIG, create_workload
 from repro.entities.system import ArgusSystem
 from repro.obs.monitor import MonitorSuite
 
@@ -127,7 +127,6 @@ def run_one(
     intensity: str = "default",
     schedule: Optional[ChaosSchedule] = None,
     trace_path: Optional[str] = None,
-    profile: str = "legacy",
 ) -> RunResult:
     """Execute one campaign run and judge it.
 
@@ -135,17 +134,14 @@ def run_one(
     provided schedule is applied verbatim; otherwise a schedule is drawn
     from the seed's ``chaos.plan`` stream at *intensity*.  *trace_path*,
     if set, receives the full JSONL event trace (pass it for failing runs
-    so CI can attach the evidence).  *profile* selects the transport:
-    ``legacy`` (the fixed-function transport the seed-corpus digests were
-    recorded against) or ``adaptive`` (PR 5 windowed transport — digests
-    are profile-specific, but oracles and monitors judge identically).
+    so CI can attach the evidence).
     """
     workload = create_workload(workload_name)
     params = workload.network_params()
     system = ArgusSystem(
         seed=seed,
         tracing=True,
-        stream_config=workload.stream_config(profile),
+        stream_config=CHAOS_STREAM_CONFIG,
         **params
     )
     suite = MonitorSuite.install(system.tracer, strict=False)
@@ -246,16 +242,13 @@ def run_campaign(
     seeds: List[int],
     intensity: str = "default",
     progress: Optional[Any] = None,
-    profile: str = "legacy",
 ) -> CampaignResult:
     """Run every (workload, seed) pair; *progress* (if given) is called
     with each :class:`RunResult` as it lands."""
     campaign = CampaignResult()
     for workload_name in workloads:
         for seed in seeds:
-            result = run_one(
-                workload_name, seed, intensity=intensity, profile=profile
-            )
+            result = run_one(workload_name, seed, intensity=intensity)
             campaign.add(result)
             if progress is not None:
                 progress(result)

@@ -91,14 +91,11 @@ def shrink_schedule(
     schedule: ChaosSchedule,
     intensity: str = "default",
     progress: Optional[Callable[[str], None]] = None,
-    profile: str = "legacy",
 ) -> ShrinkReport:
     """Shrink *schedule* to a locally minimal one that still fails.
 
     Raises ``ValueError`` if the input schedule does not fail — a shrink
-    needs a reproducing starting point.  *profile* must match the run
-    being shrunk: a failure found under the adaptive transport need not
-    reproduce under the legacy one.
+    needs a reproducing starting point.
     """
     probes = [0]
 
@@ -108,9 +105,7 @@ def shrink_schedule(
 
     def judge(candidate: ChaosSchedule) -> RunResult:
         probes[0] += 1
-        return run_one(
-            workload, seed, intensity=intensity, schedule=candidate, profile=profile
-        )
+        return run_one(workload, seed, intensity=intensity, schedule=candidate)
 
     baseline = judge(schedule)
     if not baseline.failed:

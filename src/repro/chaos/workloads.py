@@ -52,29 +52,12 @@ Outcome = Tuple[str, str, Any]
 #: Transport tuning shared by campaign workloads: small batches and an
 #: aggressive retransmission budget, so breaks are detected (and streams
 #: reincarnated) quickly and a hostile schedule stays cheap to simulate.
-#: Pinned to the legacy fixed-function transport: the checked-in seed
-#: corpus digests (tests/chaos/seeds/) were recorded against it and must
-#: replay bit-identically.
-CHAOS_STREAM_CONFIG = StreamConfig.legacy(
-    batch_size=4,
-    reply_batch_size=4,
-    max_buffer_delay=1.0,
-    reply_max_delay=1.0,
-    rto=5.0,
-    max_retries=2,
-    ack_delay=2.0,
-    reply_ack_delay=6.0,
-    auto_restart=True,
-)
-
-#: The same tuning under the PR 5 adaptive windowed transport (SACK,
-#: flow control, AIMD batching, adaptive RTO).  Campaigns run it via
-#: ``--profile adaptive``; its digests are not comparable with the legacy
-#: corpus, but every oracle and monitor must still hold.  ``max_rto``
-#: is kept tight: chaos horizons are tens of seconds, and exponential
-#: RTO backoff against a crashed node must still walk the full
-#: ``max_retries`` ladder and break well inside the liveness hard cap.
-CHAOS_ADAPTIVE_STREAM_CONFIG = StreamConfig(
+#: The checked-in seed corpus digests (tests/chaos/seeds/) were recorded
+#: against it and must replay bit-identically.  ``max_rto`` is kept
+#: tight: chaos horizons are tens of seconds, and exponential RTO backoff
+#: against a crashed node must still walk the full ``max_retries`` ladder
+#: and break well inside the liveness hard cap.
+CHAOS_STREAM_CONFIG = StreamConfig(
     batch_size=4,
     reply_batch_size=4,
     max_buffer_delay=1.0,
@@ -86,7 +69,7 @@ CHAOS_ADAPTIVE_STREAM_CONFIG = StreamConfig(
     auto_restart=True,
     max_batch_size=16,
     min_rto=1.0,
-    max_rto=8.0,
+    max_rto=6.0,
     max_inflight_calls=32,
 )
 
@@ -122,21 +105,6 @@ class Workload:
     allowed_signals: Tuple[str, ...] = ()
     #: The guardian whose node must never crash (it drives the run).
     client = "client"
-
-    def stream_config(self, profile: str = "legacy") -> StreamConfig:
-        """Transport config for a campaign run.
-
-        ``legacy`` (the default, and what the checked-in seed digests were
-        recorded against) is the fixed-function transport; ``adaptive`` is
-        the PR 5 windowed transport.
-        """
-        if profile == "adaptive":
-            return CHAOS_ADAPTIVE_STREAM_CONFIG
-        if profile == "legacy":
-            return CHAOS_STREAM_CONFIG
-        raise ValueError(
-            "unknown transport profile %r (known: legacy, adaptive)" % (profile,)
-        )
 
     def network_params(self) -> Dict[str, float]:
         """Network model parameters for this workload's world."""

@@ -113,7 +113,7 @@ class TransportEndpoint:
             # first transmission means the sender believes the stream is
             # already open — entries below the packet's window may have
             # executed before the crash, so accepting would let a later
-            # go-back-N retransmission re-execute them.  Break the stream
+            # retransmission re-execute them.  Break the stream
             # asynchronously instead (§2: the effect on already-processed
             # calls of an asynchronous break is nondeterministic).  The
             # rule keeps applying while the receiver is *virgin* (opened

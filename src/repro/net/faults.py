@@ -209,7 +209,7 @@ class LinkFaultProfile:
 
     The stream transport must absorb all of this: duplicates are detected
     by sequence number, reordering is repaired by the receiver's
-    out-of-order buffer, drops by go-back-N retransmission.
+    out-of-order buffer, drops by retransmission.
     """
 
     __slots__ = (

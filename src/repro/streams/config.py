@@ -5,28 +5,27 @@ These knobs are the levers the benchmarks sweep: ``batch_size`` and
 rests on; ``rto``/``max_retries`` control break detection; the reply-side
 twins control reply batching at the receiver.
 
-Since PR 5 the transport defaults to the *adaptive windowed* mode:
+The transport they tune (DESIGN.md §11) is windowed and self-tuning:
 
 * **selective retransmission** — the receiver reports out-of-order
   arrivals as SACK ranges and the sender resends only the genuinely
-  missing calls (instead of the whole unacknowledged go-back-N tail);
+  missing calls;
 * **flow control** — the sender never keeps more than
   ``max_inflight_calls`` calls transmitted but unresolved, against the
   cap the receiver advertises (its own ``max_inflight_calls``), which
   bounds the receiver's executing + reply-log + out-of-order holdings;
-  ``0`` disables the window;
-* **self-tuning batching** — an AIMD controller grows the effective batch
-  size from ``batch_size`` toward ``max_batch_size`` while acks flow
-  cleanly and halves it on retransmissions and breaks, and the receiver
-  sizes its reply batches to the call packets it sees;
-* **adaptive RTO** — Jacobson SRTT/RTTVAR estimation (with exponential
-  backoff) replaces the fixed ``rto``, which remains the pre-sample
+* **self-tuning batching** — an AIMD controller moves the effective batch
+  size between ``min_batch_size`` and ``max_batch_size``, starting at
+  ``batch_size``: up while acks flow cleanly, halved on retransmissions
+  and breaks; the receiver sizes its reply batches to the call packets
+  it sees;
+* **adaptive RTO** — Jacobson SRTT/RTTVAR estimation with exponential
+  backoff, clamped to ``[min_rto, max_rto]``; ``rto`` is the pre-sample
   initial value.
 
-:meth:`StreamConfig.legacy` restores the original fixed-function
-transport (fixed batch, go-back-N, fixed RTO, no window) — the
-paper-replication benchmarks E1/E3 and the golden-trace/wire-count pins
-run under it, bit-identical to the pre-PR-5 tree.
+Each controller is pinned by a degenerate range: ``min_rto == max_rto ==
+rto`` is a fixed retransmission ladder, ``min_batch_size == batch_size ==
+max_batch_size`` a fixed batch.
 """
 
 from __future__ import annotations
@@ -41,24 +40,23 @@ class StreamConfig:
     """Configuration shared by the sending and receiving stream machinery."""
 
     #: Transmit the call buffer as soon as it holds this many entries.
-    #: Under adaptive batching this is the *initial* batch size; the AIMD
-    #: controller tunes the effective threshold between
-    #: ``min_batch_size`` and ``max_batch_size`` at runtime.
+    #: This is the *initial* batch size; the AIMD controller tunes the
+    #: effective threshold between ``min_batch_size`` and
+    #: ``max_batch_size`` at runtime.
     batch_size: int = 8
     #: Transmit a non-empty call buffer at latest this long after its first
     #: entry arrived ("sent when convenient").
     max_buffer_delay: float = 5.0
-    #: Retransmission timeout for unacknowledged calls.  With
-    #: ``adaptive_rto`` this is only the initial value used until the
-    #: first RTT sample lands.
+    #: Retransmission timeout for unacknowledged calls: the initial
+    #: value, used until the first RTT sample lands.
     rto: float = 20.0
     #: Consecutive retransmissions tolerated before the sender breaks the
     #: stream ("the system tries hard to deliver messages before breaking").
     max_retries: int = 4
     #: Receiver-side: transmit the reply buffer at this many entries.
-    #: Under adaptive batching this is the *floor* of the reply batch:
-    #: the trigger follows the size of the sender's first-transmission
-    #: call packets, up to ``max_batch_size``.
+    #: This is the *floor* of the reply batch: the trigger follows the
+    #: size of the sender's first-transmission call packets, up to
+    #: ``max_batch_size``.
     reply_batch_size: int = 8
     #: Receiver-side: transmit a non-empty reply buffer at latest this long
     #: after its first entry arrived.
@@ -77,32 +75,23 @@ class StreamConfig:
     #: are mapped into exceptions and then restarted automatically").
     auto_restart: bool = True
 
-    # -- adaptive windowed transport (PR 5) ----------------------------
-    #: Receiver reports out-of-order arrivals as SACK ranges; the sender
-    #: retransmits only the calls not covered by them.  Off = go-back-N.
-    selective_retransmit: bool = True
-    #: AIMD control of the effective batch size (additive increase by one
-    #: per clean ack packet, halving on retransmission/break).
-    adaptive_batching: bool = True
-    #: AIMD ceiling for the effective batch size.  A configured
-    #: ``batch_size`` above the ceiling widens the range instead of
+    #: AIMD ceiling for the effective batch size (additive increase by
+    #: one per clean ack packet, halving on retransmission/break).  A
+    #: configured ``batch_size`` outside the range widens it instead of
     #: erroring: the effective ceiling is ``max(batch_size,
     #: max_batch_size)`` and the floor ``min(batch_size, min_batch_size)``.
     max_batch_size: int = 64
     #: AIMD floor for the effective batch size.
     min_batch_size: int = 1
-    #: Jacobson SRTT/RTTVAR estimation drives the retransmission timeout
-    #: (plus ``ack_delay`` grace for receiver-side ack batching and
-    #: exponential backoff across consecutive timeouts).
-    adaptive_rto: bool = True
-    #: Clamp for the adaptive RTO.
+    #: Clamp for the retransmission timeout, which follows a Jacobson
+    #: SRTT/RTTVAR estimate (plus ``ack_delay`` grace for receiver-side
+    #: ack batching and exponential backoff across consecutive timeouts).
     min_rto: float = 2.0
     max_rto: float = 60.0
     #: Flow-control window: the most calls the sender keeps in flight
     #: (transmitted, outcome not yet resolved), enforced by the sender
     #: against the cap the receiver advertises — the receiver's own value
-    #: of this field.  ``0`` disables flow control entirely (the legacy
-    #: unbounded behaviour).
+    #: of this field.
     max_inflight_calls: int = 256
 
     def __post_init__(self) -> None:
@@ -126,34 +115,16 @@ class StreamConfig:
             raise ValueError("min_rto must be positive")
         if self.max_rto < self.min_rto:
             raise ValueError("max_rto must be >= min_rto")
-        if self.max_inflight_calls < 0:
-            raise ValueError("max_inflight_calls must be >= 0 (0 disables)")
-
-    @classmethod
-    def legacy(cls, **overrides) -> "StreamConfig":
-        """The pre-PR-5 fixed-function transport.
-
-        Fixed ``batch_size``, go-back-N retransmission, fixed ``rto`` and
-        no flow-control window — bit-identical to the original design.
-        The paper-replication pins (E1/E3 wire counts, the golden trace,
-        the chaos seed corpus) run under this mode.
-        """
-        fields = dict(
-            selective_retransmit=False,
-            adaptive_batching=False,
-            adaptive_rto=False,
-            max_inflight_calls=0,
-        )
-        fields.update(overrides)
-        return cls(**fields)
+        if self.max_inflight_calls < 1:
+            raise ValueError("max_inflight_calls must be >= 1")
 
     def unbuffered(self) -> "StreamConfig":
         """A copy that transmits every call and reply immediately.
 
         This is the RPC-like configuration used as the baseline in E1: each
-        call pays its own kernel call and transmission delay.  Adaptive
-        batching is pinned off — the whole point of this mode is that the
-        batch never grows past one call.
+        call pays its own kernel call and transmission delay.  The batch
+        range is pinned to one call — the whole point of this mode is
+        that the batch never grows past it.
         """
         return replace(
             self,
@@ -161,5 +132,6 @@ class StreamConfig:
             max_buffer_delay=0.0,
             reply_batch_size=1,
             reply_max_delay=0.0,
-            adaptive_batching=False,
+            min_batch_size=1,
+            max_batch_size=1,
         )

@@ -35,6 +35,7 @@ from typing import Any, List, Optional, Tuple, Union
 
 from repro.encoding.errors import DecodeError
 from repro.streams.wire import (
+    KIND_BATCH,
     KIND_RPC,
     KIND_SEND,
     KIND_STREAM,
@@ -75,7 +76,7 @@ _U32 = struct.Struct(">I")
 _SPAN = struct.Struct(">qqq")
 
 #: Call kinds on the wire; must stay stable across versions.
-_KIND_TO_BYTE = {KIND_RPC: 1, KIND_STREAM: 2, KIND_SEND: 3}
+_KIND_TO_BYTE = {KIND_RPC: 1, KIND_STREAM: 2, KIND_SEND: 3, KIND_BATCH: 4}
 _BYTE_TO_KIND = {code: kind for kind, code in _KIND_TO_BYTE.items()}
 
 

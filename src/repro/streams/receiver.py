@@ -123,7 +123,7 @@ class StreamReceiver:
         #: applying the stream-start rule (first transmission, entries
         #: from seq 1) to virgin receivers: a receiver opened by an empty
         #: packet (a reincarnation announce or a bare ack) must not let a
-        #: later go-back-N retransmission deliver entries that may
+        #: later retransmission deliver entries that may
         #: already have executed before the crash.
         self.virgin = True
         self.broken: Optional[BreakNotice] = None
@@ -143,8 +143,7 @@ class StreamReceiver:
         self._next_outcome_seq = 1
         self._last_acked_call = 0
         self._last_sent_completed = 0
-        #: Reply-buffer size trigger.  Under adaptive batching it mirrors
-        #: the size of the sender's first-transmission call packets: a
+        #: Reply-buffer size trigger.  It mirrors the size of the sender's first-transmission call packets: a
         #: sender shipping 64 calls a packet has already traded first-call
         #: latency for throughput, and AIMD halving after loss shrinks
         #: the reply batches with it.  ``reply_batch_size`` is the floor.
@@ -174,7 +173,7 @@ class StreamReceiver:
 
         # Note: a fresh receiver seeing mid-stream sequence numbers is NOT
         # treated as lost state — the first packet may simply have been
-        # lost; go-back-N retransmission delivers the gap.  Genuinely lost
+        # lost; retransmission delivers the gap.  Genuinely lost
         # receiver state (a crash) surfaces as retransmission exhaustion at
         # the sender: an asynchronous break, as §2 specifies.
         resend_needed = False
@@ -207,8 +206,7 @@ class StreamReceiver:
         if packet.synch_seq is not None:
             if self._pending_synch_seq is None or packet.synch_seq > self._pending_synch_seq:
                 self._pending_synch_seq = packet.synch_seq
-        adaptive = self.config.selective_retransmit
-        if entries and packet.attempt == 0 and self.config.adaptive_batching:
+        if entries and packet.attempt == 0:
             size = min(len(entries), self.config.max_batch_size)
             # A flush travels with the tail of a burst — whatever was left
             # over, not the sender's batch size: it may raise the trigger
@@ -226,7 +224,7 @@ class StreamReceiver:
             if entries:
                 seqs = [entry.seq for entry in entries]
                 self._flush_through_range = (min(seqs), max(seqs))
-            elif adaptive:
+            else:
                 # The batch trigger had already pushed every call: the
                 # flush covers whatever is still queued or executing.
                 self._flush_through_range = (
@@ -238,8 +236,7 @@ class StreamReceiver:
             # Lost replies suspected: retransmit everything unacknowledged.
             self._flush_replies(include_log=True)
         elif (
-            adaptive
-            and routine_flush
+            routine_flush
             and not self._reply_buffer
             and self.completed_seq < self._flush_through_range[1] < self.expected_seq
         ):
@@ -253,14 +250,14 @@ class StreamReceiver:
             # Include the whole unacknowledged reply log: a flush request
             # may be the sender probing after *reply* packets were lost,
             # and only entries the sender has not acked are still in the
-            # log, so this stays cheap in the common case.  Under the
-            # adaptive transport, first-transmission flushes (attempt 0)
-            # are routine segments of a window-paced burst, not loss
-            # probes — resending the log there is pure duplication, and
-            # actual reply loss still surfaces as an attempt > 0 probe
-            # when the sender's RTO fires.
-            self._flush_replies(include_log=not adaptive or packet.attempt > 0)
-        elif new_out_of_order and adaptive:
+            # log, so this stays cheap in the common case.
+            # First-transmission flushes (attempt 0) are routine segments
+            # of a window-paced burst, not loss probes — resending the
+            # log there is pure duplication, and actual reply loss still
+            # surfaces as an attempt > 0 probe when the sender's RTO
+            # fires.
+            self._flush_replies(include_log=packet.attempt > 0)
+        elif new_out_of_order:
             # A gap just opened (or widened): tell the sender immediately
             # which seqs we hold, so its selective retransmission — and the
             # duplicate-ack fast path — can react before the RTO expires.
@@ -375,17 +372,17 @@ class StreamReceiver:
             self._flush_replies()
         elif self._pending_synch_seq is not None and self.completed_seq >= self._pending_synch_seq:
             self._flush_replies()
-        elif self._flush_through_range[0] <= seq <= self._flush_through_range[1] and (
-            self.config.max_inflight_calls <= 0
-            or self.completed_seq >= self.expected_seq - 1
+        elif (
+            self._flush_through_range[0] <= seq <= self._flush_through_range[1]
+            and self.completed_seq >= self.expected_seq - 1
         ):
             # This call was covered by an explicit flush: its reply (or
-            # completion watermark, for sends) goes out promptly.  Under
-            # flow control a flush can cover a whole window-deferred burst;
-            # while earlier delivered calls are still executing, more
-            # replies are imminent, so let them coalesce (the batch-size
-            # trigger above and the reply alarm below bound the delay) —
-            # the burst's last completion still flushes immediately.
+            # completion watermark, for sends) goes out promptly.  A flush
+            # can cover a whole window-deferred burst; while earlier
+            # delivered calls are still executing, more replies are
+            # imminent, so let them coalesce (the batch-size trigger above
+            # and the reply alarm below bound the delay) — the burst's
+            # last completion still flushes immediately.
             self._flush_replies()
         elif self._reply_buffer:
             self._reply_alarm.arm_if_idle(self.config.reply_max_delay)
@@ -454,7 +451,7 @@ class StreamReceiver:
             self._reply_buffer = []
         else:
             entries, self._reply_buffer = self._reply_buffer, []
-        sack_ranges = self._sack_ranges() if self.config.selective_retransmit else ()
+        sack_ranges = self._sack_ranges()
         packet = ReplyPacket(
             self.key,
             self.incarnation,
@@ -465,7 +462,7 @@ class StreamReceiver:
             sack_ranges=sack_ranges,
             # Our cap on transmitted-but-unresolved calls; the sender does
             # the accounting (StreamSender._window_allowance).
-            window=self.config.max_inflight_calls or None,
+            window=self.config.max_inflight_calls,
         )
         message = Message(
             self.key.dst_node,

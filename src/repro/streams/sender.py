@@ -10,9 +10,7 @@ thus are sequenced" (§2).  It implements:
 * buffering with size and delay triggers, and the paper's ``flush`` and
   ``synch`` primitives;
 * exactly-once delivery over the unreliable network, via cumulative
-  acknowledgements plus — in the default adaptive mode — SACK-driven
-  *selective* retransmission (go-back-N remains available as the legacy
-  mode);
+  acknowledgements plus SACK-driven *selective* retransmission;
 * sender-side flow control: transmitted-but-unresolved calls never
   exceed the cap the receiver advertises, so bulk workloads cannot
   overrun receiver memory (see :meth:`StreamSender._window_allowance`);
@@ -132,6 +130,9 @@ class StreamSender:
         self._srtt: Optional[float] = None
         self._rttvar = 0.0
         self._rto_backoff = 1.0
+        #: Whether the last break left calls the receiver may still be
+        #: executing, so the next incarnation must announce itself.
+        self._had_outstanding_at_break = False
         self._reset_incarnation_state()
         self._buffer_alarm = Alarm(env, self._on_buffer_deadline)
         self._rto_alarm = Alarm(env, self._on_rto)
@@ -296,7 +297,7 @@ class StreamSender:
             # "RPCs and their replies are sent over the network immediately,
             # to minimize the delay for a call."
             self._flush_buffer(flush_replies=True)
-        elif len(self._buffer) >= self._batch_threshold():
+        elif len(self._buffer) >= int(self._batch_limit):
             self._flush_buffer()
         elif self.config.max_buffer_delay == 0.0:
             self._flush_buffer()
@@ -369,7 +370,7 @@ class StreamSender:
         self._reincarnate()
 
     def _reincarnate(self) -> None:
-        announce = getattr(self, "_had_outstanding_at_break", False)
+        announce = self._had_outstanding_at_break
         self.incarnation += 1
         self.broken = False
         self._break_exception = None
@@ -384,12 +385,6 @@ class StreamSender:
     # ------------------------------------------------------------------
     # Adaptive controllers (batch size, RTT/RTO)
     # ------------------------------------------------------------------
-    def _batch_threshold(self) -> int:
-        """The current auto-flush threshold for the call buffer."""
-        if not self.config.adaptive_batching:
-            return self.config.batch_size
-        return int(self._batch_limit)
-
     def _grow_batch(self) -> None:
         """AIMD additive increase: one more call per cleanly-acked packet."""
         ceiling = float(max(self.config.max_batch_size, self.config.batch_size))
@@ -417,8 +412,6 @@ class StreamSender:
     def _current_rto(self) -> float:
         """The retransmission timeout in force right now."""
         config = self.config
-        if not config.adaptive_rto:
-            return config.rto
         if self._srtt is None:
             base = config.rto
         else:
@@ -463,8 +456,8 @@ class StreamSender:
         """Transmitted calls whose outcome is not yet resolved here."""
         return self._sent_seq - (self._next_resolve - 1)
 
-    def _window_allowance(self) -> Optional[int]:
-        """How many more calls may enter flight; None = no window (legacy).
+    def _window_allowance(self) -> int:
+        """How many more calls may enter flight.
 
         The flight is bounded by our own ``max_inflight_calls`` and the
         cap the receiver advertises.  That bounds receiver memory without
@@ -476,8 +469,6 @@ class StreamSender:
         and reordering alike.
         """
         limit = self.config.max_inflight_calls
-        if limit <= 0:
-            return None
         cap = limit if self._window is None else min(limit, self._window)
         inflight = self._inflight()
         if inflight <= 0:
@@ -515,7 +506,7 @@ class StreamSender:
         permits, and transmit it."""
         ready = self._ready
         allowance = self._window_allowance()
-        if allowance is None or allowance >= len(ready):
+        if allowance >= len(ready):
             entries, self._ready = ready, []
         elif allowance <= 0:
             entries = []
@@ -528,11 +519,10 @@ class StreamSender:
             unacked = self._unacked
             for entry in entries:
                 unacked[entry.seq] = entry
-            if self.config.adaptive_rto:
-                now = self.env.now
-                send_times = self._send_times
-                for entry in entries:
-                    send_times[entry.seq] = now
+            now = self.env.now
+            send_times = self._send_times
+            for entry in entries:
+                send_times[entry.seq] = now
             self._sent_seq = entries[-1].seq
             inflight = self._inflight()
             if inflight > self.stats.max_inflight:
@@ -646,26 +636,19 @@ class StreamSender:
                 self._reincarnate()
             return
         self.stats.retransmissions += 1
-        unacked = list(self._unacked.values())
-        if self.config.selective_retransmit and self._sacked:
-            # Selective retransmission: skip everything the receiver has
-            # already reported holding out of order.
-            sacked = self._sacked
-            entries = [entry for entry in unacked if entry.seq not in sacked]
-            self.stats.retransmitted_calls_avoided += len(unacked) - len(entries)
-        else:
-            # Go-back-N: resend everything unacknowledged.
-            entries = unacked
-        if self.config.adaptive_rto:
-            # Karn: a retransmitted seq can no longer yield an unambiguous
-            # RTT sample; back the timer off exponentially until an
-            # un-retransmitted packet is acked.
-            send_times = self._send_times
-            for entry in entries:
-                send_times.pop(entry.seq, None)
-            self._rto_backoff = min(self._rto_backoff * 2.0, 64.0)
-        if self.config.adaptive_batching:
-            self._shrink_batch()
+        # Selective retransmission: skip everything the receiver has
+        # already reported holding out of order.
+        sacked = self._sacked
+        entries = [e for e in self._unacked.values() if e.seq not in sacked]
+        self.stats.retransmitted_calls_avoided += len(self._unacked) - len(entries)
+        # Karn: a retransmitted seq can no longer yield an unambiguous
+        # RTT sample; back the timer off exponentially until an
+        # un-retransmitted packet is acked.
+        send_times = self._send_times
+        for entry in entries:
+            send_times.pop(entry.seq, None)
+        self._rto_backoff = min(self._rto_backoff * 2.0, 64.0)
+        self._shrink_batch()
         # Re-assert any pending flush/synch flags (they may have been
         # lost with the original packet).
         self._transmit(
@@ -683,9 +666,7 @@ class StreamSender:
         """Process a reply packet from the receiver (called by transport)."""
         if packet.incarnation != self.incarnation or self.broken:
             return  # stale incarnation
-        config = self.config
-
-        if packet.window is not None and config.max_inflight_calls > 0:
+        if packet.window is not None:
             self._window = packet.window
 
         # Acknowledgements: drop delivered calls, note execution progress.
@@ -720,7 +701,7 @@ class StreamSender:
 
         # Selective-ack bookkeeping: note what the receiver holds beyond
         # the cumulative ack, so retransmissions can skip it.
-        if packet.sack_ranges and config.selective_retransmit:
+        if packet.sack_ranges:
             for lo, hi in packet.sack_ranges:
                 for seq in range(lo, hi + 1):
                     if seq in unacked:
@@ -749,16 +730,16 @@ class StreamSender:
             # progress would pin the RTO below a long path's RTT forever
             # (every packet retransmitted spuriously, every sample
             # discarded as ambiguous).
-            if not config.adaptive_rto or rtt_sent_at is not None:
+            if rtt_sent_at is not None:
                 self._rto_backoff = 1.0
-            if clean and config.adaptive_batching:
+            if clean:
                 self._grow_batch()
             if self._unacked or self._has_unresolved():
                 self._rto_alarm.arm(self._current_rto())
             else:
                 self._rto_alarm.cancel()
 
-        if packet.sack_ranges and config.selective_retransmit and not self.broken:
+        if packet.sack_ranges and not self.broken:
             self._consider_fast_retransmit(packet)
 
         self._release_in_order()
@@ -777,8 +758,7 @@ class StreamSender:
         # reply log — instead of stalling every claim behind the RTO.
         # Once per stall point.
         if (
-            config.selective_retransmit
-            and not self.broken
+            not self.broken
             and self._has_unresolved()
             and (self._outcomes or self._next_resolve <= self._completed_seq)
             and self._reply_gap_probed != self._next_resolve
@@ -788,7 +768,7 @@ class StreamSender:
             self._transmit([], True, None, attempt=1)
 
         # Flow control pump: resolved calls left the flight; push deferred
-        # entries (there are none without a window) into the freed space.
+        # entries into the freed space.
         if self._ready and not self.broken and self._window_allowance() > 0:
             self._push(self._pending_flush_replies, self._pending_synch_seq)
 
@@ -821,12 +801,10 @@ class StreamSender:
         self.stats.retransmissions += 1
         self.stats.fast_retransmits += 1
         self.stats.retransmitted_calls_avoided += len(self._unacked) - len(gap)
-        if self.config.adaptive_rto:
-            send_times = self._send_times
-            for entry in gap:
-                send_times.pop(entry.seq, None)
-        if self.config.adaptive_batching:
-            self._shrink_batch()
+        send_times = self._send_times
+        for entry in gap:
+            send_times.pop(entry.seq, None)
+        self._shrink_batch()
         self._transmit(
             gap,
             self._pending_flush_replies or self._has_unresolved(),
@@ -942,9 +920,8 @@ class StreamSender:
         self._buffer_alarm.cancel()
         self._rto_alarm.cancel()
         self._reply_ack_alarm.cancel()
-        if self.config.adaptive_batching:
-            # A break is the strongest congestion/loss signal there is.
-            self._shrink_batch()
+        # A break is the strongest congestion/loss signal there is.
+        self._shrink_batch()
         template = Failure(reason) if permanent else Unavailable(reason)
         # First deliver any outcomes that did arrive, in order; then fail
         # the rest (preserving the in-order-resolution invariant).

@@ -170,7 +170,8 @@ class CallPacket:
         self.key = key
         self.incarnation = incarnation
         self.entries = list(entries)
-        #: 0 for a first transmission, >0 for go-back-N retransmissions.
+        #: 0 for a first transmission, >0 for retransmissions and
+        #: reply-gap probes.
         #: A receiver whose node has crashed must refuse to start a fresh
         #: stream from a retransmission: the entries may already have
         #: executed before the crash (exactly-once would be violated), so
@@ -250,10 +251,11 @@ class ReplyPacket:
     seq ranges the receiver holds *beyond* the cumulative ``ack_call_seq``
     (out-of-order arrivals waiting for the gap to fill).  The sender skips
     them when retransmitting.  ``window`` is the receiver's advertised
-    flow-control window — the most in-flight calls it is willing to
-    absorb, derived from its executing/reply-log backlog; ``None`` means
-    no window (legacy mode).  Both are absent on legacy-config streams,
-    so legacy packets remain byte-identical.
+    flow-control window: its constant cap (``max_inflight_calls``) on
+    transmitted-but-unresolved calls, which the sender does the
+    accounting against.  Every packet a receiver builds carries it;
+    ``None`` survives only for packets decoded off a socket without the
+    window-present flag, and leaves the sender's own cap in force.
     """
 
     __slots__ = (

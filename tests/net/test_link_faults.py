@@ -141,7 +141,7 @@ def test_reordering_never_reorders_delivery_to_handlers():
         return ctx.guardian.system.guardian("server").state["order"]
 
     order = run_main(system, client, main)
-    # The wire reordered packets, but go-back-N + the receiver's
+    # The wire reordered packets, but retransmission + the receiver's
     # out-of-order buffer must deliver calls in stream order regardless.
     assert order == list(range(16))
 

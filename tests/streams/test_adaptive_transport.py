@@ -93,7 +93,7 @@ def pipelined_driver(ctx, n=N_CALLS, chunk=4):
 def test_sack_exactly_once_in_order_under_link_chaos(fault, seed):
     """Whatever the link does, every call executes exactly once and every
     promise resolves in order with the right value — with selective
-    retransmission doing the repairing instead of go-back-N."""
+    retransmission doing the repairing."""
     system, server, client, suite = build_chaotic_echo_world(
         LINK_PROFILES[fault], seed
     )
@@ -221,31 +221,6 @@ def test_one_call_window_cannot_deadlock():
     assert suite.violations == []
 
 
-def test_flow_control_disabled_with_zero_limit():
-    """max_inflight_calls=0 switches the window off: the whole burst may
-    be in flight at once (legacy behaviour, adaptive everything else)."""
-    config = StreamConfig(
-        batch_size=64,
-        max_buffer_delay=0.0,
-        max_inflight_calls=0,
-    )
-    system, server, client = build_echo_world(stream_config=config)
-
-    def main(ctx):
-        echo = ctx.lookup("server", "echo")
-        promises = [echo.stream(i) for i in range(64)]
-        echo.flush()
-        values = []
-        for promise in promises:
-            values.append((yield promise.claim()))
-        return values, echo.stream_sender.stats.snapshot()
-
-    values, stats = run_main(system, client, main)
-    assert values == list(range(64))
-    assert stats["window_stalls"] == 0
-    assert stats["max_inflight"] == 64
-
-
 # ----------------------------------------------------------------------
 # AIMD batching
 # ----------------------------------------------------------------------
@@ -301,12 +276,13 @@ def test_batch_limit_shrinks_on_loss_and_respects_floor():
     assert any(b < a for a, b in zip(limits, limits[1:]))
 
 
-def test_adaptive_batching_off_keeps_static_threshold():
+def test_degenerate_batch_range_keeps_static_threshold():
     config = StreamConfig(
         batch_size=4,
         max_buffer_delay=0.5,
         reply_max_delay=0.5,
-        adaptive_batching=False,
+        min_batch_size=4,
+        max_batch_size=4,
     )
     system, server, client = build_echo_world(stream_config=config, tracing=True)
 
@@ -361,15 +337,29 @@ def test_rtt_estimator_tracks_link_latency():
     assert estimates["slow"] > 2.0 * estimates["fast"]
 
 
-def test_adaptive_rto_off_uses_fixed_rto():
+def test_degenerate_rto_range_uses_fixed_rto():
+    """min_rto == max_rto pins the timeout: RTT samples still accumulate
+    but neither they nor the backoff can move it."""
     config = StreamConfig(
-        batch_size=4, max_buffer_delay=0.5, reply_max_delay=0.5, adaptive_rto=False
+        batch_size=4,
+        max_buffer_delay=0.5,
+        reply_max_delay=0.5,
+        rto=20.0,
+        min_rto=20.0,
+        max_rto=20.0,
     )
     system, server, client = build_echo_world(stream_config=config)
-    srtt, rto, stats = run_main(system, client, rtt_probe_driver)
-    assert stats["rtt_samples"] == 0
-    assert srtt is None
-    assert rto == config.rto
+
+    def main(ctx):
+        srtt, rto, stats = yield from rtt_probe_driver(ctx)
+        sender = ctx.lookup("server", "echo").stream_sender
+        sender._rto_backoff = 8.0
+        return srtt, rto, sender._current_rto(), stats
+
+    srtt, rto, backed_off, stats = run_main(system, client, main)
+    assert stats["rtt_samples"] > 0
+    assert srtt is not None and srtt < config.rto
+    assert rto == backed_off == config.rto
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,18 @@ from repro.streams import StreamConfig
 
 from .helpers import build_echo_world, run_main
 
-# Legacy fixed-RTO transport: these interleavings were pinned against its
-# exact retransmission ladder (5.0 + 5.0 + 5.0 before a break); the
-# adaptive transport's exponential backoff shifts break times, which is
-# covered separately in test_adaptive_transport.py.
-FAST = StreamConfig.legacy(
-    batch_size=4, max_buffer_delay=1.0, rto=5.0, max_retries=2, auto_restart=True
+# A fixed retransmission ladder (min_rto == max_rto: 5.0 + 5.0 + 5.0
+# before a break), so each interleaving lands where its fault windows
+# expect; exponential backoff shifting break times is covered separately
+# in test_adaptive_transport.py.
+FAST = StreamConfig(
+    batch_size=4,
+    max_buffer_delay=1.0,
+    rto=5.0,
+    min_rto=5.0,
+    max_rto=5.0,
+    max_retries=2,
+    auto_restart=True,
 )
 
 
@@ -125,8 +131,9 @@ def test_break_with_nonempty_reply_buffer():
 
     def main(ctx):
         echo = ctx.lookup("server", "echo")
+        # The batch trigger ships all four calls; an explicit flush would
+        # pull their replies out as soon as they complete.
         promises = [echo.stream(index) for index in range(4)]
-        echo.flush()
         outcomes = []
         for promise in promises:
             try:

@@ -22,6 +22,7 @@ from repro.streams.frames import (
     encode_packet,
 )
 from repro.streams.wire import (
+    KIND_BATCH,
     KIND_RPC,
     KIND_SEND,
     KIND_STREAM,
@@ -70,6 +71,8 @@ def sample_call_packets():
             [CallEntry(10**12, "h" * 50, KIND_STREAM, bytes(range(256)))],
             ack_reply_seq=10**12 - 1,
         ),
+        # A graph epoch frame, as GraphRuntime hands it to TcpNetwork.
+        CallPacket(key, 0, [CallEntry(1, "epoch", KIND_BATCH, b"zz")], ack_reply_seq=0),
     ]
 
 
@@ -154,6 +157,15 @@ def assert_packets_equal(a, b):
 ALL_PACKETS = sample_call_packets() + sample_reply_packets()
 
 
+def torn(rng, stream, max_step):
+    """*stream* as a socket might deliver it: in random-sized reads."""
+    pos = 0
+    while pos < len(stream):
+        step = rng.randint(1, max_step)
+        yield bytes(stream[pos : pos + step])
+        pos += step
+
+
 @pytest.mark.parametrize("index", range(len(ALL_PACKETS)))
 def test_packet_round_trip(index):
     packet = ALL_PACKETS[index]
@@ -191,11 +203,8 @@ def test_assembler_random_chunking():
     for _ in range(20):
         assembler = FrameAssembler()
         out = []
-        pos = 0
-        while pos < len(stream):
-            step = rng.randint(1, 40)
-            out.extend(assembler.feed(stream[pos : pos + step]))
-            pos += step
+        for chunk in torn(rng, stream, 40):
+            out.extend(assembler.feed(chunk))
         assert out == bodies
 
 
@@ -230,12 +239,26 @@ def test_unknown_frame_type_raises():
 
 
 def test_unknown_call_kind_raises():
+    # The kind byte is the one byte two single-entry packets differing
+    # only in kind disagree on; wire bytes 1-4 are the four kinds.
+    def single(kind):
+        entry = CallEntry(1, "p", kind, b"zz")
+        return encode_packet(CallPacket(make_key(), 0, [entry], ack_reply_seq=0))
+
+    rpc, batch = single(KIND_RPC), single(KIND_BATCH)
+    (kind_at,) = [i for i in range(len(rpc)) if rpc[i] != batch[i]]
+    assert (rpc[kind_at], batch[kind_at]) == (1, 4)
+    for code in [0] + list(range(5, 256)):
+        corrupted = bytearray(rpc)
+        corrupted[kind_at] = code
+        with pytest.raises(DecodeError, match="unknown call kind"):
+            decode_body(bytes(corrupted))
+
     body = bytearray(encode_packet(sample_call_packets()[1]))
-    # Flip the first entry's kind byte (find it by re-encoding with a
-    # sentinel port id would be brittle; instead corrupt every byte and
-    # require that no corruption decodes to a *different* valid kind
-    # silently while also round-tripping — decode must either raise or
-    # produce a packet that re-encodes identically).
+    # Beyond the kind byte: corrupt every byte and require that no
+    # corruption decodes to a *different* valid packet silently while
+    # also round-tripping — decode must either raise or produce a packet
+    # that re-encodes identically.
     for index in range(1, len(body)):
         corrupted = bytearray(body)
         corrupted[index] ^= 0xA5
@@ -266,3 +289,96 @@ def test_zero_length_frame_yields_empty_body():
     assert bodies == [b""]
     with pytest.raises(DecodeError):
         decode_body(bodies[0])
+
+
+# ----------------------------------------------------------------------
+# Hostile-input totality: decode returns or raises DecodeError, nothing else
+# ----------------------------------------------------------------------
+CORPUS_BODIES = [encode_packet(p) for p in ALL_PACKETS] + [
+    encode_hello("node:client"),
+    encode_hello(""),
+]
+
+#: Values a hostile peer would put in a count, sack_count or length field.
+HOSTILE_U32 = (0xFFFFFFFF, 0x80000000, MAX_FRAME_BYTES + 1, MAX_FRAME_BYTES, 0x10000)
+
+
+def decode_is_total(body):
+    """Decode *body*; anything but a packet or DecodeError fails the test."""
+    try:
+        decoded = decode_body(body)
+    except DecodeError:
+        return None
+    assert isinstance(decoded, (Hello, CallPacket, ReplyPacket))
+    return decoded
+
+
+def mutate(rng, body):
+    data = bytearray(body)
+    choice = rng.randrange(4)
+    if choice == 0:  # overwrite a few bytes
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+    elif choice == 1:  # truncate
+        del data[rng.randrange(len(data)) :]
+    elif choice == 2:  # splice onto the tail of another frame
+        other = rng.choice(CORPUS_BODIES)
+        data = data[: rng.randrange(len(data) + 1)] + other[rng.randrange(len(other)) :]
+    else:  # plant a hostile count / length prefix
+        at = rng.randrange(max(1, len(data) - 3))
+        data[at : at + 4] = struct.pack(">I", rng.choice(HOSTILE_U32))
+    return bytes(data)
+
+
+def test_hostile_u32_at_every_offset_is_total():
+    """Every count, sack_count and length prefix sits at *some* offset:
+    plant each hostile value at all of them."""
+    for body in CORPUS_BODIES:
+        for at in range(len(body) - 3):
+            for value in HOSTILE_U32:
+                hostile = bytearray(body)
+                hostile[at : at + 4] = struct.pack(">I", value)
+                decode_is_total(bytes(hostile))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mutated_frames_through_the_assembler_are_total(seed):
+    """Seeded mutation/truncation/splice fuzz, delivered the way a socket
+    would: framed, concatenated, torn into random chunks."""
+    rng = random.Random(seed)
+    bodies = [mutate(rng, rng.choice(CORPUS_BODIES)) for _ in range(400)]
+    stream = b"".join(encode_frame(body) for body in bodies)
+    assembler = FrameAssembler()
+    out = []
+    for chunk in torn(rng, stream, 200):
+        out.extend(assembler.feed(chunk))
+    # The framing is intact, so the assembler hands back every body
+    # verbatim, however hostile its contents.
+    assert out == bodies
+    for body in out:
+        decoded = decode_is_total(body)
+        # A packet that survives decoding re-encodes to the bytes it came
+        # from: no mutation is silently normalised away.
+        if isinstance(decoded, (CallPacket, ReplyPacket)):
+            assert encode_packet(decoded) == body
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mutated_byte_stream_is_total(seed):
+    """Corrupt the framed stream itself (length prefixes included): the
+    assembler yields bodies or raises DecodeError, and whatever it
+    yields decodes totally."""
+    rng = random.Random(1000 + seed)
+    stream = bytearray(
+        b"".join(encode_frame(rng.choice(CORPUS_BODIES)) for _ in range(200))
+    )
+    for _ in range(40):
+        stream[rng.randrange(len(stream))] = rng.randrange(256)
+    assembler = FrameAssembler()
+    for chunk in torn(rng, stream, 200):
+        try:
+            bodies = assembler.feed(chunk)
+        except DecodeError:
+            break  # oversized announcement: the connection is dropped
+        for body in bodies:
+            decode_is_total(body)

@@ -95,7 +95,7 @@ def test_empty_flush_covers_calls_still_executing():
     """The batch trigger has already pushed every call, so ``flush``
     travels in an entry-less packet — and still releases the tail reply
     on its completion instead of after ``reply_max_delay``."""
-    config = StreamConfig(batch_size=4, adaptive_batching=False)
+    config = StreamConfig(batch_size=4, min_batch_size=4, max_batch_size=4)
     cost = 0.5
     system, server, client = build_echo_world(
         stream_config=config, echo_cost=cost, tracing=True

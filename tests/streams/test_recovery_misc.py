@@ -92,7 +92,7 @@ def test_mid_stream_open_after_recovery_is_refused_not_replayed():
     """A first-transmission packet that does not start at seq 1 must not
     open a fresh receiver on a recovered node: entries below its window
     may have executed pre-crash, and accepting it would let a later
-    go-back-N retransmission replay them."""
+    retransmission replay them."""
     system, server, client = build_echo_world(stream_config=FAST)
 
     def main(ctx):
