@@ -44,7 +44,11 @@ def test_e3_fig31_vs_rpc(benchmark):
         rows,
     )
     by_n = {row[0]: row for row in rows}
-    assert by_n[20][3] > 2.0, "Fig 3-1 should beat RPC clearly at n=20"
-    assert by_n[80][3] > by_n[5][3], "advantage grows with roster size"
+    assert by_n[20][3] > 10.0, "Fig 3-1 should beat RPC clearly at n=20"
+    assert by_n[80][3] > by_n[20][3] > by_n[5][3], "advantage grows with roster size"
+    # The RPC baseline pays for what it asks, no more: two RPCs a student,
+    # a request and a reply each, and not one spurious retransmission.
+    assert all(row[4] == 4 * row[0] for row in rows)
+    assert by_n[80][5] < by_n[80][4] / 10, "buffering should slash message count"
 
     benchmark(run_program, program_fig_3_1, 40)

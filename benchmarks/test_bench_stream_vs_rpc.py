@@ -52,13 +52,14 @@ def run_rpc(n_calls):
     return system.now, system.stats()["messages_sent"]
 
 
-def run_stream(n_calls, batch_size=16):
-    config = StreamConfig(
-        batch_size=batch_size,
-        reply_batch_size=batch_size,
-        max_buffer_delay=2.0,
-        reply_max_delay=2.0,
-    )
+def run_stream(n_calls, batch_size=16, config=None):
+    if config is None:
+        config = StreamConfig(
+            batch_size=batch_size,
+            reply_batch_size=batch_size,
+            max_buffer_delay=2.0,
+            reply_max_delay=2.0,
+        )
     system = build_system(config)
 
     def main(ctx):
@@ -97,9 +98,12 @@ def test_e1_stream_vs_rpc(benchmark):
 
     # Shape: streams win, increasingly with n; messages collapse by ~batch.
     by_n = {row[0]: row for row in rows}
-    assert by_n[64][3] > 3.0, "streams should beat RPC by >3x at n=64"
-    assert by_n[256][3] > by_n[4][3], "the advantage should grow with n"
-    assert by_n[256][5] < by_n[256][4] / 8, "batching should slash message count"
+    assert by_n[64][3] > 40.0, "streams should beat RPC by >40x at n=64"
+    speedups = [row[3] for row in rows]
+    assert speedups == sorted(speedups), "the advantage should grow with n"
+    assert all(row[4] == 2 * row[0] for row in rows), "an RPC is two datagrams"
+    # A burst leaves in full batches, not in batch_size pieces.
+    assert by_n[256][5] < by_n[256][4] / 32, "batching should slash message count"
     # At n=1 there is nothing to amortize: times are comparable.
     assert by_n[1][1] == by_n[1][2] or abs(by_n[1][1] - by_n[1][2]) < 3 * LATENCY
 
@@ -107,21 +111,41 @@ def test_e1_stream_vs_rpc(benchmark):
 
 
 def test_e1_ablation_batch_size(benchmark):
-    """DESIGN.md §5 ablation: sweep the buffer size at fixed n."""
+    """DESIGN.md §5 ablation: sweep the buffer size at fixed n.
+
+    Each row pins the batch (``min_batch_size == batch_size ==
+    max_batch_size``), which switches off both AIMD and the
+    hold-while-busy rule: left open, a bursting caller's packets grow to
+    a full batch whatever ``batch_size`` says and every row reads alike.
+    The last row is the default, self-sized transport.
+    """
     n_calls = 128
     rows = []
     for batch_size in (1, 2, 4, 8, 16, 32, 64):
-        duration, messages = run_stream(n_calls, batch_size=batch_size)
+        pinned = StreamConfig(
+            batch_size=batch_size,
+            min_batch_size=batch_size,
+            max_batch_size=batch_size,
+            reply_batch_size=batch_size,
+            max_buffer_delay=2.0,
+            reply_max_delay=2.0,
+        )
+        duration, messages = run_stream(n_calls, config=pinned)
         rows.append((batch_size, duration, messages))
+    untuned_time, untuned_messages = run_stream(n_calls, config=StreamConfig())
     report(
         "E1b",
         "batch-size ablation at n=%d" % n_calls,
         ["batch_size", "time", "messages"],
-        rows,
+        rows + [("default", untuned_time, untuned_messages)],
     )
     times = [row[1] for row in rows]
-    assert times[-1] < times[0], "bigger batches must be faster overall"
+    assert times == sorted(times, reverse=True), "time falls as the batch grows"
+    assert times[0] > 7 * times[-1], "unbatched costs >7x the best batch"
     messages = [row[2] for row in rows]
     assert messages == sorted(messages, reverse=True), "messages fall with batch size"
+    # Untuned, the transport reaches the best pinned row.
+    assert untuned_time <= 1.01 * times[-1]
+    assert untuned_messages <= messages[-1]
 
     benchmark(run_stream, n_calls, 32)

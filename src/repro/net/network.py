@@ -251,6 +251,12 @@ class Network:
             return 0.0
         return message.wire_bytes / self.bandwidth
 
+    def tx_free_at(self, node: str) -> float:
+        """When *node*'s kernel finishes the datagrams already handed to it
+        (at or before ``env.now`` when idle): a :meth:`send` now would only
+        queue until then."""
+        return self._nic_free.get(node, 0.0)
+
     def send(self, message: Message, want_done: bool = True) -> Optional[Event]:
         """Transmit *message*; returns the event of the sender's CPU being
         free again (after kernel overhead + transmission time).

@@ -174,6 +174,11 @@ class TcpNetwork:
     # ------------------------------------------------------------------
     # Sending (the simulated-Network surface)
     # ------------------------------------------------------------------
+    def tx_free_at(self, node: str) -> float:
+        """Always idle: a socket write returns once the kernel holds the
+        bytes, so a send never queues behind an earlier one here."""
+        return 0.0
+
     def send(self, message: Message, want_done: bool = True) -> Optional[Event]:
         src = self._nodes.get(message.src)
         if src is None:

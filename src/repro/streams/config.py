@@ -42,7 +42,9 @@ class StreamConfig:
     #: Transmit the call buffer as soon as it holds this many entries.
     #: This is the *initial* batch size; the AIMD controller tunes the
     #: effective threshold between ``min_batch_size`` and
-    #: ``max_batch_size`` at runtime.
+    #: ``max_batch_size`` at runtime.  On a burst it is when the *first*
+    #: packet leaves: while the node's kernel is still sending that one,
+    #: later packets are held and grow (see ``max_batch_size``).
     batch_size: int = 8
     #: Transmit a non-empty call buffer at latest this long after its first
     #: entry arrived ("sent when convenient").
@@ -80,6 +82,10 @@ class StreamConfig:
     #: configured ``batch_size`` outside the range widens it instead of
     #: erroring: the effective ceiling is ``max(batch_size,
     #: max_batch_size)`` and the floor ``min(batch_size, min_batch_size)``.
+    #: The ceiling also bounds a *held* packet: one whose count trigger
+    #: fired while the kernel was busy with an earlier datagram waits for
+    #: the path to free, or until it is this full (until the first loss
+    #: signal; then AIMD alone sizes packets).
     max_batch_size: int = 64
     #: AIMD floor for the effective batch size.
     min_batch_size: int = 1

@@ -7,8 +7,9 @@ thus are sequenced" (§2).  It implements:
 * the three call varieties — RPCs (transmitted immediately, caller waits),
   stream calls (buffered, a promise is returned), and sends (stream calls
   to handlers with no normal results; normal replies are omitted);
-* buffering with size and delay triggers, and the paper's ``flush`` and
-  ``synch`` primitives;
+* buffering with size and delay triggers (a triggered packet waits, and
+  grows, while the kernel is still sending the last one), and the paper's
+  ``flush`` and ``synch`` primitives;
 * exactly-once delivery over the unreliable network, via cumulative
   acknowledgements plus SACK-driven *selective* retransmission;
 * sender-side flow control: transmitted-but-unresolved calls never
@@ -127,6 +128,10 @@ class StreamSender:
         # the two nodes is the same, so RTT estimates and the learned
         # batch size stay useful across restarts.
         self._batch_limit = float(self.config.batch_size)
+        #: How far a packet may grow while the kernel is still sending an
+        #: earlier one: a full batch until the first loss signal, nothing
+        #: beyond the AIMD limit after it (slow start, then ssthresh).
+        self._hold_limit = max(self.config.max_batch_size, self.config.batch_size)
         self._srtt: Optional[float] = None
         self._rttvar = 0.0
         self._rto_backoff = 1.0
@@ -298,7 +303,18 @@ class StreamSender:
             # to minimize the delay for a call."
             self._flush_buffer(flush_replies=True)
         elif len(self._buffer) >= int(self._batch_limit):
-            self._flush_buffer()
+            # Send when convenient: a packet handed over now would only
+            # queue behind the datagram the kernel is still sending, so
+            # until it is a full batch let it grow and leave when the
+            # path frees (or at the buffer deadline, if that is sooner).
+            if (
+                len(self._buffer) >= self._hold_limit
+                or (free_at := self.network.tx_free_at(self.key.src_node))
+                <= self.env.now
+            ):
+                self._flush_buffer()
+            elif not self._buffer_alarm.armed or free_at < self._buffer_alarm.deadline:
+                self._buffer_alarm.arm(free_at - self.env.now)
         elif self.config.max_buffer_delay == 0.0:
             self._flush_buffer()
         else:
@@ -394,6 +410,7 @@ class StreamSender:
 
     def _shrink_batch(self) -> None:
         """AIMD multiplicative decrease, on retransmission or break."""
+        self._hold_limit = 0  # loss seen: AIMD alone sizes packets from here
         floor = float(min(self.config.min_batch_size, self.config.batch_size))
         shrunk = max(floor, self._batch_limit / 2.0)
         if shrunk != self._batch_limit:
@@ -734,15 +751,20 @@ class StreamSender:
                 self._rto_backoff = 1.0
             if clean:
                 self._grow_batch()
-            if self._unacked or self._has_unresolved():
-                self._rto_alarm.arm(self._current_rto())
-            else:
-                self._rto_alarm.cancel()
 
         if packet.sack_ranges and not self.broken:
             self._consider_fast_retransmit(packet)
 
         self._release_in_order()
+
+        # Restart or stop the RTO clock only now that the resolve cursor
+        # has moved: decided before the release, the last reply of an
+        # exchange left the alarm armed with nothing outstanding.
+        if progressed and not self.broken:
+            if self._unacked or self._has_unresolved():
+                self._rto_alarm.arm(self._current_rto())
+            else:
+                self._rto_alarm.cancel()
 
         if packet.broken is not None:
             self._on_break_notice(packet.broken)

@@ -64,7 +64,16 @@ class StreamKey:
     back without any connection state in the network.
     """
 
-    __slots__ = ("src_node", "src_address", "agent_id", "dst_node", "dst_address", "group_id")
+    __slots__ = (
+        "src_node",
+        "src_address",
+        "agent_id",
+        "dst_node",
+        "dst_address",
+        "group_id",
+        "_tuple",
+        "_hash",
+    )
 
     def __init__(
         self,
@@ -81,22 +90,18 @@ class StreamKey:
         self.dst_node = dst_node
         self.dst_address = dst_address
         self.group_id = group_id
-
-    def _tuple(self) -> Tuple[str, str, str, str, str, str]:
-        return (
-            self.src_node,
-            self.src_address,
-            self.agent_id,
-            self.dst_node,
-            self.dst_address,
-            self.group_id,
-        )
+        # Never mutated, and hashed or compared on every call (sender
+        # lookup, packet routing): build the identity tuple once.
+        self._tuple = (src_node, src_address, agent_id, dst_node, dst_address, group_id)
+        self._hash = hash(self._tuple)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, StreamKey) and self._tuple() == other._tuple()
+        return self is other or (
+            isinstance(other, StreamKey) and self._tuple == other._tuple
+        )
 
     def __hash__(self) -> int:
-        return hash(self._tuple())
+        return self._hash
 
     def __repr__(self) -> str:
         return "<StreamKey %s/%s -> %s/%s/%s>" % (

@@ -34,6 +34,7 @@ __all__ = [
     "client_coenter",
     "client_sequential_rpcs",
     "client_flow_control",
+    "client_burst",
     "client_span_flow",
 ]
 
@@ -183,16 +184,27 @@ def client_sequential_rpcs(ctx):
     return values
 
 
-def client_flow_control(ctx):
-    """60 stream calls through a 4-call window; returns sender stats."""
+def _claimed_burst(ctx, n):
+    """*n* stream calls issued without yielding, flushed, claimed in
+    order; returns the values and the sender's stats."""
     echo = ctx.lookup("echo", "echo")
-    promises = [echo.stream(i) for i in range(60)]
+    promises = [echo.stream(i) for i in range(n)]
     echo.flush()
     values = []
     for promise in promises:
         value = yield promise.claim()
         values.append(value)
     return {"values": values, "sender": echo.stream_sender.stats.snapshot()}
+
+
+def client_flow_control(ctx):
+    """60 stream calls through a 4-call window; returns sender stats."""
+    return (yield from _claimed_burst(ctx, 60))
+
+
+def client_burst(ctx):
+    """One 256-call burst: exactly the default window."""
+    return (yield from _claimed_burst(ctx, 256))
 
 
 def client_span_flow(ctx):

@@ -87,6 +87,30 @@ def test_stream_flow_control(backend):
     assert_invariants(result)
 
 
+def test_burst_fills_the_window_without_stalling(backend):
+    """A 256-call burst is exactly the default window: exactly-once, in
+    order, no stall.  The simulator's kernel is busy with the first
+    datagram, so the rest leave as full batches; a socket write never
+    reports a busy path, so there every packet is the count trigger's."""
+    result = backend.run(apps.ECHO_WORLD, apps.client_burst)
+    assert result.value["values"] == [3 * i + 1 for i in range(256)]
+    sender = result.value["sender"]
+    assert sender["window_stalls"] == 0, sender
+    packets = [
+        ev.fields["entries"]
+        for ev in result.all_events()
+        if ev.type == "stream.packet_sent"
+        and ev.fields["attempt"] == 0
+        and ev.fields["entries"]
+    ]
+    assert sum(packets) == 256
+    if result.backend == "sim":
+        assert len(packets) <= 6, packets
+    else:
+        assert packets == [8] * 32
+    assert_invariants(result)
+
+
 def test_rpc_costs_two_datagrams(backend):
     """One call packet out, one reply packet back per RPC: the reply
     carries the acknowledgement, the next call carries the reply's.

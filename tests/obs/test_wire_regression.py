@@ -23,12 +23,12 @@ GRADES_PARAMS = dict(
 )
 
 #: Pinned physical-message counts for the Fig 3-1 grades run.
-FIG31_WIRE_MESSAGES = {5: 4, 20: 12, 80: 41}
+FIG31_WIRE_MESSAGES = {5: 4, 20: 10, 80: 24}
 
 #: E1 scenario (benchmarks/test_bench_stream_vs_rpc.py): 32 echo calls.
 E1_CALLS = 32
 E1_RPC_WIRE_MESSAGES = 64  # 2 per call: request + reply (which carries the ack)
-E1_STREAM_WIRE_MESSAGES = 6
+E1_STREAM_WIRE_MESSAGES = 5
 
 
 def run_grades_fig31(n_students):

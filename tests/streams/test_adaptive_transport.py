@@ -141,8 +141,9 @@ def test_duplicate_link_traffic_is_absorbed():
 
 
 def test_drop_link_sack_spares_retransmissions():
+    # A seed whose draws lose a call packet (seed 23 loses nothing).
     system, server, client, suite = build_chaotic_echo_world(
-        LINK_PROFILES["drop"], seed=23
+        LINK_PROFILES["drop"], seed=1
     )
 
     def main(ctx):
