@@ -30,7 +30,7 @@ Three design rules keep 10^5–10^6 simulated agents affordable:
 :class:`~repro.entities.system.ArgusSystem`; :func:`stepped_search` walks
 a rate ladder until the system stops sustaining the offered rate (the
 flow-control window collapses and achieved throughput falls away), which
-is how ``max_sustainable_throughput`` in ``BENCH_PR8.json`` is found.
+is how ``max_sustainable_throughput`` in the load report is found.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Two OS processes, one promise pipeline, real TCP (DESIGN.md §15).
+"""Two OS processes, one promise pipeline, real TCP (DESIGN.md §14).
 
 Spawns an echo guardian in a worker process via ``repro.rt.RtCluster``,
 then drives it from this process over actual sockets: a blocking RPC, a

@@ -17,15 +17,16 @@ can assert they agree while benchmarks compare their costs.
 
 Two further runners are built on the promise *continuation* layer
 (:meth:`~repro.core.promise.Promise.when_resolved` and friends, PR 6)
-instead of blocking claims: :func:`run_vat_phased` mirrors the Figure 3-1
-phase structure and :func:`run_vat_per_item` the per-item cascade, but
-neither consumes a waiting process per outstanding promise — each returns
-a promise for the result list, driven entirely by vat callbacks.
+instead of blocking claims: :func:`run_vat_phased` is the Figure 3-1
+phase structure (:func:`run_phased` is a blocking claim on it) and
+:func:`run_vat_per_item` the per-item cascade, but neither consumes a
+waiting process per outstanding promise — each returns a promise for the
+result list, driven entirely by vat callbacks.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 from repro.compose.filters import SKIP, Filter, make_filter
 from repro.concurrency.promise_queue import PromiseQueue
@@ -104,29 +105,12 @@ def run_phased(ctx, pipeline: Pipeline, items: Sequence[Any]):
     All calls of stage *i* are made (and their promises stored) before any
     call of stage *i+1* — "We cannot begin printing results until all
     calls to the grades database have been initiated."
+
+    This is a blocking claim on :func:`run_vat_phased`'s promise, so a
+    filter that raises surfaces as ``failure("filter ... raised ...")``
+    from the claim, like a broken stage call, not as the raw exception.
     """
-    values: List[Any] = [None] * len(items)
-    live = list(range(len(items)))
-    for stage in pipeline.stages:
-        ref = ctx.lookup(stage.guardian, stage.handler)
-        promises: List[Optional[Promise]] = []
-        kept: List[int] = []
-        for index in live:
-            args = yield from _apply_filter(ctx, stage, values[index], items[index])
-            if args is SKIP:
-                promises.append(None)
-            else:
-                promises.append(ref.stream(*args))
-            kept.append(index)
-        ref.flush()
-        next_live: List[int] = []
-        for index, promise in zip(kept, promises):
-            if promise is None:
-                continue
-            values[index] = yield promise.claim()
-            next_live.append(index)
-        live = next_live
-    return [values[index] for index in live]
+    return (yield run_vat_phased(ctx, pipeline, items).claim())
 
 
 def run_per_stream(ctx, pipeline: Pipeline, items: Sequence[Any]):
@@ -225,13 +209,11 @@ def _break_run(run: Promise, exc: Exception, where: str) -> None:
 def run_vat_phased(ctx, pipeline: Pipeline, items: Sequence[Any]) -> Promise:
     """Figure 3-1 structure on the continuation layer (non-blocking).
 
-    Same phase discipline as :func:`run_phased` — every call of stage *i*
-    is issued (and the stream flushed) before any call of stage *i+1*, and
-    stage *i+1* starts only once all stage-*i* promises have resolved —
-    but the synchronization is a :meth:`Promise.all` continuation instead
-    of a process blocked in sequential claims.  Issues the same calls at
-    the same simulated times, so the wire trace matches ``run_phased``
-    (the golden-equivalence test pins this).
+    Every call of stage *i* is issued (and the stream flushed) before any
+    call of stage *i+1*, and stage *i+1* starts only once all stage-*i*
+    promises have resolved; the synchronization is a :meth:`Promise.all`
+    continuation, not a process blocked in sequential claims.
+    :func:`run_phased` is this runner plus one ``claim()``.
 
     Returns a :class:`Promise` for the final-stage result list; a broken
     stage call or a raising filter breaks it.
@@ -253,7 +235,7 @@ def run_vat_phased(ctx, pipeline: Pipeline, items: Sequence[Any]) -> Promise:
             # Apply the filter for live[cursor] and issue its call, then
             # continue — looping inline while the filter is free, bouncing
             # off the calendar (call_in) to charge non-zero filter cost
-            # exactly where run_phased's ctx.sleep would.
+            # where a process would ``ctx.sleep``.
             while True:
                 index = live[cursor]
                 try:

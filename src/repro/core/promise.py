@@ -25,8 +25,8 @@ callback results so chains compose; :meth:`Promise.all`,
 :meth:`Promise.any` and :meth:`Promise.race` gather many promises into
 one.  Continuations cost one vat-queue entry per registration instead of
 one simulated process per outstanding promise, which is what lets a
-single process hold 10^5+ pending promises (``benchmarks/perf/vat_bench.py``
-measures exactly this difference).
+single process hold 10^5+ pending promises
+(``tests/concurrency/test_vat_stress.py`` measures exactly this difference).
 """
 
 from __future__ import annotations

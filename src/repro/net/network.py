@@ -269,9 +269,8 @@ class Network:
         ``None`` back: no Event object is built for a result nobody reads.
 
         The body open-codes :meth:`transmission_time`, the NIC max and the
-        old ``_should_drop`` helper (same check order, same counters, same
-        RNG draws) — this is the hottest non-kernel path in the simulator;
-        see benchmarks/perf.
+        drop checks — this is the hottest non-kernel path in the simulator
+        (DESIGN.md §8).
         """
         src_name = message.src
         dst_name = message.dst
@@ -323,8 +322,9 @@ class Network:
             send_done = free + busy
         nic[src_name] = send_done
 
-        # Drop checks, in the historical _should_drop order: partition,
-        # unknown destination, random loss.
+        # Drop checks, in this order (it decides which counter a drop
+        # lands in and whether the loss RNG is drawn): partition, unknown
+        # destination, random loss.
         partitions = self._partitions
         if partitions and (
             ((src_name, dst_name) if src_name <= dst_name else (dst_name, src_name))
@@ -437,22 +437,6 @@ class Network:
             # own NIC — but only after the message arrives.
             env.call_at(arrival, self._arrive, message, dst)
 
-    def _should_drop(self, message: Message) -> bool:
-        if self.partitioned(message.src, message.dst):
-            self.stats.messages_dropped_partition += 1
-            self._trace_drop(message, "partition")
-            return True
-        if message.dst not in self._nodes:
-            self.stats.messages_dropped_crash += 1
-            self._trace_drop(message, "no_such_node")
-            return True
-        if self.loss_rate > 0.0:
-            if self.rng.stream("net.loss").random() < self.loss_rate:
-                self.stats.messages_dropped_loss += 1
-                self._trace_drop(message, "loss")
-                return True
-        return False
-
     def _trace_drop(self, message: Message, reason: str) -> None:
         tracer = self.env.tracer
         if tracer is not None:
@@ -465,7 +449,7 @@ class Network:
 
     # ------------------------------------------------------------------
     # Delivery (scheduled callbacks — no generator processes; see
-    # benchmarks/perf and DESIGN.md §8)
+    # DESIGN.md §8)
     # ------------------------------------------------------------------
     def _finish_local(self, message: Message, dst: Node) -> None:
         # Same-node messages skip the network: no kernel call, no latency,

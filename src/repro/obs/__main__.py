@@ -22,9 +22,8 @@ example's ``--trace DIR`` flag).  Subcommands:
     Convert the trace to Chrome trace-event JSON; open the output in
     ``chrome://tracing`` or https://ui.perfetto.dev.
 
-Two further subcommands operate on a **load report** (the
-``BENCH_PR8.json`` written by ``benchmarks/load/run_load.py``) instead of
-a raw trace:
+Two further subcommands operate on a **load report** (the JSON written
+by ``benchmarks/load/run_load.py``) instead of a raw trace:
 
 ``report``
     Per-workload load summary: achieved throughput, latency quantiles
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chrome.set_defaults(func=_cmd_chrome)
 
     p_report = sub.add_parser(
-        "report", help="summarize a load report (BENCH_PR8.json) with SLO verdicts"
+        "report", help="summarize a load report (run_load JSON) with SLO verdicts"
     )
     p_report.add_argument("report", help="path to a load report .json file")
     p_report.set_defaults(func=_cmd_report)

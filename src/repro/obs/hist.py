@@ -22,7 +22,7 @@ Design properties the load harness leans on:
   associative and commutative, so per-window / per-node histograms roll
   up without replay (``tests/obs/test_hist.py`` pins associativity);
 * **serializable** — :meth:`to_dict` / :meth:`from_dict` round-trip
-  through JSON, so ``BENCH_PR8.json`` can carry full distributions and
+  through JSON, so the load report can carry full distributions and
   ``python -m repro.obs report`` can re-query them offline;
 * **API-compatible** — ``count`` / ``total`` / ``mean`` / ``min`` /
   ``max`` / ``percentile`` / ``snapshot`` match the exact histogram, so
@@ -39,10 +39,17 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional
 
-__all__ = ["StreamingHistogram", "DEFAULT_RELATIVE_ERROR"]
+__all__ = ["StreamingHistogram", "DEFAULT_RELATIVE_ERROR", "nearest_rank"]
 
 #: Default bound on the relative error of quantile estimates (~1%).
 DEFAULT_RELATIVE_ERROR = 0.01
+
+
+def nearest_rank(p: float, count: int) -> int:
+    """1-based rank of the *p*-th percentile among *count* >= 1 samples:
+    ``ceil(p * count / 100)``, at least 1.  The one rank rule of both
+    histograms (and of ``benchmarks/suite``)."""
+    return min(max(1, int(-(-p * count // 100))), count)
 
 
 class StreamingHistogram:
@@ -161,9 +168,7 @@ class StreamingHistogram:
             raise ValueError("percentile must be in [0, 100], got %r" % (p,))
         if not self.count:
             return 0.0
-        rank = max(1, int(round(p / 100.0 * self.count + 0.5)))
-        rank = min(rank, self.count)
-        remaining = rank - self._zero_count
+        remaining = nearest_rank(p, self.count) - self._zero_count
         if remaining <= 0:
             return 0.0
         for index in sorted(self._buckets):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.hist import DEFAULT_RELATIVE_ERROR, StreamingHistogram
+from repro.obs.hist import DEFAULT_RELATIVE_ERROR, StreamingHistogram, nearest_rank
 
 __all__ = ["Counter", "Histogram", "Metrics", "format_key"]
 
@@ -131,8 +131,7 @@ class Histogram:
         if not self._sorted:
             self._values.sort()
             self._sorted = True
-        rank = max(1, int(round(p / 100.0 * len(self._values) + 0.5)))
-        return self._values[min(rank, len(self._values)) - 1]
+        return self._values[nearest_rank(p, len(self._values)) - 1]
 
     def snapshot(self) -> Dict[str, float]:
         """JSON-friendly summary statistics."""

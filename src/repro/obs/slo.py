@@ -15,8 +15,7 @@ are plain dicts so they can live in JSON next to the reports they judge::
       }
     }
 
-The **load report** (``BENCH_PR8.json``, written by
-``benchmarks/load/run_load.py``) carries one entry per workload:
+The **load report** (written by ``benchmarks/load/run_load.py``) carries one entry per workload:
 
 * ``latency`` — quantile summary of the run at the measured rate;
 * ``latency_hist`` — the full :class:`~repro.obs.hist.StreamingHistogram`
@@ -54,10 +53,9 @@ __all__ = [
 LATENCY_KEYS = ("p50", "p99", "p999")
 
 #: Default spec used by the load harness when none is supplied.  Ceilings
-#: are stated in simulated seconds and calibrated against the committed
-#: quick-mode topology (see ``benchmarks/load/harness.py``); the
-#: throughput floors are what the committed snapshots sustain with >2x
-#: headroom on the search ladder.
+#: are stated in simulated seconds and calibrated against the quick-mode
+#: topology (see ``benchmarks/load/harness.py``); the throughput floors
+#: are what it sustains with >2x headroom on the search ladder.
 DEFAULT_SLO_SPEC: Dict[str, Any] = {
     "echo": {
         "latency": {"p50": 0.050, "p99": 0.250, "p999": 0.500},
@@ -159,7 +157,7 @@ def evaluate_slo(
 # Report rendering (the ``report`` and ``top`` CLI subcommands)
 # ----------------------------------------------------------------------
 def load_report(path: str) -> Dict[str, Any]:
-    """Read a ``BENCH_PR8.json``-shaped load report."""
+    """Read a load report written by ``benchmarks/load/run_load.py``."""
     with open(path) as handle:
         report = json.load(handle)
     if "workloads" not in report:

@@ -14,10 +14,9 @@ The collector reads its clock from a callable (typically
 transparently (``Metrics(collector=...)``).
 
 ``rows()`` flattens the windows into JSON-ready dicts — the schema the
-``BENCH_PR8.json`` load report embeds and ``python -m repro.obs top``
-replays.  A ``max_windows`` cap turns the store into a ring (oldest
-windows evicted, counted in ``dropped_windows``) for genuinely unbounded
-runs.
+load report embeds and ``python -m repro.obs top`` replays.  A
+``max_windows`` cap turns the store into a ring (oldest windows evicted,
+counted in ``dropped_windows``) for genuinely unbounded runs.
 """
 
 from __future__ import annotations

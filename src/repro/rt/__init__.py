@@ -2,7 +2,7 @@
 
 The simulator (:mod:`repro.sim`) is the deterministic twin; this
 package binds the identical guardian/stream/promise machinery to real
-time and real TCP (DESIGN.md §15):
+time and real TCP (DESIGN.md §14):
 
 * :class:`~repro.rt.clock.WallclockDriver` — paces an unmodified
   :class:`~repro.sim.kernel.Environment` calendar against the asyncio

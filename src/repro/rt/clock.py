@@ -9,7 +9,7 @@ backend seam exactly one object wide: instead of
 firing each entry once real time has caught up with its simulated
 timestamp.  Nothing above the kernel changes; the same transport state
 machines that run deterministically under simulation run here against
-real sockets (DESIGN.md §15).
+real sockets (DESIGN.md §14).
 
 Time mapping: one simulated time unit corresponds to ``time_unit`` real
 seconds (default 1 ms, so the stream transport's default RTO of 20 sim

@@ -77,7 +77,7 @@ _BUCKET_POOL_LIMIT = 4096
 # urgent_cursor].  Cursors index slots (they advance by 2 per entry).  The
 # urgent lane is lazily allocated because most timestamps only ever see
 # normal-priority entries (three list allocations per network message would
-# be measurable; see benchmarks/perf).
+# be measurable; DESIGN.md §8).
 
 # Filled in by repro.sim.events at import time so the run loop can inline
 # the (hot, exact-class) Event/Timeout fire path without an import cycle.
@@ -500,8 +500,8 @@ class Environment:
                     "until (%r) must not be earlier than now (%r)" % (limit, self._now)
                 )
 
-        # Inlined event loop (the hottest code in the whole simulator; see
-        # benchmarks/perf).  Per bucket: drain the urgent lane, then the
+        # Inlined event loop (the hottest code in the whole simulator;
+        # DESIGN.md §8).  Per bucket: drain the urgent lane, then the
         # normal lane, re-checking the urgent lane before every fire so a
         # same-time URGENT insert made by a callback still runs first —
         # exactly the ordering the old (time, priority, seq) heap

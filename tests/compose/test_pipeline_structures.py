@@ -4,6 +4,7 @@ results and differ on overlap."""
 import pytest
 
 from repro.compose import SKIP, Filter, Pipeline, Stage, run_per_item, run_per_stream, run_phased
+from repro.core.exceptions import Failure
 from repro.entities import ArgusSystem
 from repro.types import INT, HandlerType
 
@@ -132,6 +133,28 @@ def test_filter_exception_terminates_composition():
             return "terminated"
 
     assert run_client(system, main) == "terminated"
+
+
+def test_phased_filter_exception_is_a_failure_from_the_claim():
+    # run_phased is a claim on run_vat_phased's promise, so a filter bug
+    # breaks the run like a broken call does instead of propagating raw.
+    system = build_three_stage_world()
+
+    def explode(value, item):
+        if item == 3:
+            raise ValueError("filter bug")
+        return (item,)
+
+    pipeline = Pipeline([Stage("reader", "step", filter=Filter(explode))])
+
+    def main(ctx):
+        try:
+            yield from run_phased(ctx, pipeline, list(range(6)))
+        except Failure as failure:
+            return str(failure)
+
+    message = run_client(system, main)
+    assert "filter" in message and "raised ValueError('filter bug')" in message
 
 
 def test_filter_cost_is_charged():

@@ -9,6 +9,7 @@ without 10^5 generators.
 """
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -42,8 +43,8 @@ def test_hundred_thousand_pending_promises_zero_processes():
     assert state["consumed"] == N
     assert env._next_pid == 0  # no simulated process was ever created
     assert env.vat.callbacks_run == N
-    # Generous wall-clock budget (regression guard, not a benchmark —
-    # BENCH_PR6.json holds the real numbers): ~2s locally, 30s allowed.
+    # Generous wall-clock budget (regression guard, not a benchmark):
+    # ~2s locally, 30s allowed.
     assert elapsed < 30.0, "vat consumed %d promises in %.1fs" % (N, elapsed)
 
 
@@ -78,3 +79,65 @@ def test_deep_continuation_chain_does_not_recurse():
     promise.resolve(Outcome.normal(0))
     env.run()
     assert tail.outcome().results == (depth,)
+
+
+def _pend(n, consumer):
+    """Hold *n* pending promises, give each the consumer that
+    ``consumer(env, state)`` attaches, resolve them all; returns
+    (consumed, processes created, traced peak bytes)."""
+    tracemalloc.start()
+    try:
+        env = Environment()
+        promises = [Promise(env) for _ in range(n)]
+        state = {"consumed": 0}
+        attach = consumer(env, state)
+        for promise in promises:
+            attach(promise)
+
+        def resolve_all():
+            for promise in promises:
+                promise.resolve(Outcome.normal(1))
+
+        env.call_in(1.0, resolve_all)
+        env.run()
+        assert all(promise.ready() for promise in promises)
+        return state["consumed"], env._next_pid, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.vat_stress
+def test_continuations_cost_a_fraction_of_blocking_claim_processes():
+    # The vat's memory claim: the promises exist either way, only the
+    # consumer differs — a process blocked in claim() (generator, event
+    # subscription, calendar entry) or one vat-queue entry.  Subtracting
+    # the no-consumer peak isolates the per-consumer cost: 13-16x at
+    # n=10^4 on CPython 3.11.  The ratio is a small difference of large
+    # peaks, so it moves with n (about 20x at 10^5) and with what warmed
+    # the allocator before (9.6x has been read at this n, so 10x is not
+    # a safe floor); 5x holds with room on every reading.
+    n = 10_000
+
+    def no_consumer(env, state):
+        return lambda promise: None
+
+    def blocking_claim(env, state):
+        def claimer(promise):
+            value = yield promise.claim()
+            state["consumed"] += value
+
+        return lambda promise: env.process(claimer(promise))
+
+    def continuation(env, state):
+        def consume(outcome):
+            state["consumed"] += outcome.results[0]
+
+        return lambda promise: promise.on_resolved(consume)
+
+    _, bare_processes, bare_peak = _pend(n, no_consumer)
+    consumed, blocking_processes, blocking_peak = _pend(n, blocking_claim)
+    assert (consumed, blocking_processes) == (n, n)
+    consumed, vat_processes, vat_peak = _pend(n, continuation)
+    assert (consumed, vat_processes, bare_processes) == (n, 0, 0)
+    ratio = (blocking_peak - bare_peak) / max(vat_peak - bare_peak, 1)
+    assert ratio >= 5.0, "per-consumer memory only %.1fx smaller" % ratio

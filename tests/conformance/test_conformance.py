@@ -1,4 +1,4 @@
-"""The backend-conformance battery (DESIGN.md §15).
+"""The backend-conformance battery (DESIGN.md §14).
 
 One set of application-level scenarios — call ordering, exactly-once
 under disturbance, promise claim semantics, coenter, stream flow

@@ -11,6 +11,7 @@ histograms be pooled and shipped in reports.
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,48 @@ def test_percentile_out_of_range_is_rejected():
         hist.percentile(101)
     with pytest.raises(ValueError):
         hist.percentile(-1)
+
+
+RANK_NS = (1, 2, 4, 6, 10, 100, 200)
+RANK_PS = (0, 50, 90, 99, 99.9, 100)
+
+
+@pytest.mark.parametrize("cls", [Histogram, StreamingHistogram])
+def test_percentile_picks_the_ceiling_rank(cls):
+    # Nearest rank = ceil(p * n / 100), at least 1.  Sample k of n is
+    # 2**k, so the 1%-accurate streaming estimate still names its rank.
+    # The spot checks are ranks where p * n / 100 is an odd integer — the
+    # cases a round-half-even "+ 0.5" rule puts one too high.
+    table = {
+        (n, p): max(1, math.ceil(Fraction(str(p)) * n / 100))
+        for n in RANK_NS
+        for p in RANK_PS
+    }
+    assert [table[key] for key in [(10, 50), (4, 50), (6, 50), (100, 99)]] == [5, 2, 3, 99]
+    assert table[(200, 99.9)] == 200 and table[(1, 0)] == 1
+    for (n, p), rank in table.items():
+        hist = cls()
+        for k in range(n, 0, -1):
+            hist.observe(2.0 ** k)
+        assert round(math.log2(hist.percentile(p))) == rank, (n, p)
+
+
+def test_both_histograms_agree_with_the_benchmark_suite_rule():
+    from benchmarks.suite.harness import percentile as suite_percentile
+
+    rng = random.Random(20)
+    for n in RANK_NS:
+        samples = [rng.lognormvariate(0.0, 2.0) for _ in range(n)]
+        exact, streaming = Histogram(), StreamingHistogram()
+        for value in samples:
+            exact.observe(value)
+            streaming.observe(value)
+        for p in RANK_PS:
+            picked = suite_percentile(sorted(samples), p)
+            assert exact.percentile(p) == picked, (n, p)
+            assert_within_relative(
+                streaming.percentile(p), picked, streaming.relative_error
+            )
 
 
 def test_min_max_and_mean_are_exact():

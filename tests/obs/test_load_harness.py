@@ -221,105 +221,29 @@ def test_stepped_search_rejects_empty_ladder():
 
 
 # ----------------------------------------------------------------------
-# The CI gate (run_load --check-against)
+# The CLI's exit code (what the CI ``benchmarks`` job gates on)
 # ----------------------------------------------------------------------
-def make_gate_report(mode="quick", tp=1000.0, p99=0.02, slo_ok=True, steps=None):
-    from benchmarks.load.run_load import check_against  # noqa: F401
+def test_run_load_cli_exits_nonzero_on_slo_breach(tmp_path, monkeypatch):
+    from benchmarks.load import run_load as cli
 
-    if steps is None:
-        steps = [(1000.0, p99, True)]
-    return {
-        "mode": mode,
-        "slo": {
-            "ok": slo_ok,
-            "workloads": {
-                "echo": {
-                    "checks": [
-                        {
-                            "check": "latency_p99",
-                            "kind": "ceiling",
-                            "limit": 0.25,
-                            "actual": p99,
-                            "ok": slo_ok,
-                        }
-                    ],
-                    "ok": slo_ok,
-                }
-            },
-        },
-        "workloads": {
-            "echo": {
-                "max_sustainable_throughput": tp,
-                "latency": {"p99": p99},
-                "steps": [
-                    {"offered_rate": rate, "p99": step_p99, "sustained": sustained}
-                    for rate, step_p99, sustained in steps
-                ],
-            }
-        },
+    tiny = {
+        "n_agents": 2_000,
+        "duration": 2.0,
+        "churn_rate": 0.05,
+        "ladders": {"echo": [150.0]},
     }
+    monkeypatch.setitem(cli.PROFILES, "quick", tiny)
 
+    def run(spec):
+        slo, out = tmp_path / "slo.json", tmp_path / "load.json"
+        slo.write_text(json.dumps(spec))
+        code = cli.main(
+            ["--quick", "--workloads", "echo", "--slo", str(slo), "-o", str(out)]
+        )
+        return code, json.loads(out.read_text())
 
-def test_gate_passes_identical_reports():
-    from benchmarks.load.run_load import check_against
-
-    assert check_against(make_gate_report(), make_gate_report()) == []
-
-
-def test_gate_refuses_mode_mismatch():
-    from benchmarks.load.run_load import check_against
-
-    problems = check_against(make_gate_report(mode="quick"), make_gate_report(mode="full"))
-    assert len(problems) == 1 and "mode mismatch" in problems[0]
-
-
-def test_gate_fails_on_throughput_regression_over_20_percent():
-    from benchmarks.load.run_load import check_against
-
-    new = make_gate_report(tp=790.0)  # 21% below the committed 1000
-    problems = check_against(new, make_gate_report(tp=1000.0))
-    assert any("throughput regressed" in problem for problem in problems)
-    # 15% below is within tolerance.
-    assert check_against(make_gate_report(tp=850.0), make_gate_report(tp=1000.0)) == []
-
-
-def test_gate_fails_on_p99_regression_over_20_percent():
-    from benchmarks.load.run_load import check_against
-
-    problems = check_against(
-        make_gate_report(p99=0.1), make_gate_report(p99=0.02)
-    )
-    assert any("p99 latency regressed" in problem for problem in problems)
-
-
-def test_gate_compares_p99_at_the_reference_rate():
-    """A run that sustains a higher rung is judged at the reference's
-    top sustained rate, not at its own (slower) top rung."""
-    from benchmarks.load.run_load import check_against
-
-    def ladder(p99_at_200, top_sustained):
-        return [(100.0, 0.03, True), (200.0, p99_at_200, True), (400.0, 0.07, top_sustained)]
-
-    old = make_gate_report(tp=200.0, steps=ladder(0.04, False))
-    faster = make_gate_report(tp=400.0, p99=0.07, steps=ladder(0.038, True))
-    assert check_against(faster, old) == []
-    slower = make_gate_report(tp=400.0, p99=0.07, steps=ladder(0.06, True))
-    assert any("at 200.0 ops/s" in problem for problem in check_against(slower, old))
-    other_ladder = make_gate_report(tp=400.0, steps=[(400.0, 0.03, True)])
-    assert any("no rung" in problem for problem in check_against(other_ladder, old))
-
-
-def test_gate_fails_on_slo_breach():
-    from benchmarks.load.run_load import check_against
-
-    problems = check_against(make_gate_report(slo_ok=False), make_gate_report())
-    assert any("SLO breach" in problem for problem in problems)
-
-
-def test_gate_fails_on_missing_workload():
-    from benchmarks.load.run_load import check_against
-
-    new = make_gate_report()
-    del new["workloads"]["echo"]
-    problems = check_against(new, make_gate_report())
-    assert any("missing" in problem for problem in problems)
+    code, report = run({"echo": {"throughput_floor": 1.0}})
+    assert code == 0 and report["slo"]["ok"]
+    assert report["mode"] == "quick"
+    code, report = run({"echo": {"throughput_floor": 1e9}})
+    assert code == 1 and not report["slo"]["ok"]
