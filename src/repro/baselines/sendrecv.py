@@ -68,17 +68,13 @@ class Mailbox:
     def send(self, dst_node: str, dst_address: str, payload: Any, size: int) -> None:
         """Fire one datagram; the sender 'need wait only until the message
         is produced'."""
-        self.network.send(
-            Message(self.node.name, dst_node, dst_address, payload, size),
-            want_done=False,
-        )
+        self.network.send(Message(self.node.name, dst_node, dst_address, payload, size))
 
     def send_batch(self, dst_node: str, dst_address: str, batch: DatagramBatch) -> None:
         """Manually batched send (how send/receive programs get
         stream-like throughput)."""
         self.network.send(
-            Message(self.node.name, dst_node, dst_address, batch, batch.size),
-            want_done=False,
+            Message(self.node.name, dst_node, dst_address, batch, batch.size)
         )
 
     def receive(self) -> Event:

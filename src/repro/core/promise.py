@@ -343,19 +343,6 @@ class Promise:
             event.defused = True
             event.fail(outcome.exception)
 
-    # ------------------------------------------------------------------
-    # Combinators (widely useful in examples and composition code)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def all_ready(env: Environment, promises: List["Promise"]) -> Event:
-        """Event firing when every promise in *promises* is ready."""
-        return env.all_of([p.wait() for p in promises])
-
-    @staticmethod
-    def any_ready(env: Environment, promises: List["Promise"]) -> Event:
-        """Event firing when at least one promise is ready."""
-        return env.any_of([p.wait() for p in promises])
-
     def on_ready(self, callback: Callable[["Promise"], None]) -> None:
         """Invoke *callback(promise)* once the promise becomes ready.
 
@@ -528,8 +515,7 @@ class Promise:
         return results
 
     # ------------------------------------------------------------------
-    # Gathers (vat-dispatched; contrast all_ready/any_ready below, which
-    # are event-layer and need a waiting process)
+    # Gathers (vat-dispatched)
     # ------------------------------------------------------------------
     @staticmethod
     def all(env: Environment, promises: Iterable["Promise"]) -> "Promise":

@@ -174,7 +174,7 @@ class TransportEndpoint:
             reply.size,
         )
         try:
-            self.network.send(message, want_done=False)
+            self.network.send(message)
         except NodeDown:
             pass
 

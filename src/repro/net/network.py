@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Set, Tuple
 
-from heapq import heappush
-
 from repro.net.message import Message
-from repro.sim.events import Event
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 
@@ -257,16 +254,13 @@ class Network:
         queue until then."""
         return self._nic_free.get(node, 0.0)
 
-    def send(self, message: Message, want_done: bool = True) -> Optional[Event]:
-        """Transmit *message*; returns the event of the sender's CPU being
-        free again (after kernel overhead + transmission time).
+    def send(self, message: Message) -> None:
+        """Hand *message* to the sender's kernel and return at once; ask
+        :meth:`tx_free_at` when the sender's CPU is free again (after
+        kernel overhead + transmission time).
 
         Local sends (src == dst) skip the network entirely: no kernel call,
         no latency — mirroring how Argus optimizes same-guardian calls.
-
-        Callers that do not wait for the CPU-free moment (the stream
-        transport fires and forgets) pass ``want_done=False`` and get
-        ``None`` back: no Event object is built for a result nobody reads.
 
         The body open-codes :meth:`transmission_time`, the NIC max and the
         drop checks — this is the hottest non-kernel path in the simulator
@@ -285,13 +279,9 @@ class Network:
         message.send_time = now
 
         if src_name == dst_name:
-            done = None
-            if want_done:
-                done = Event(env)
-                done.succeed()
             # Delivered on the next simulation tick, no generator frame.
             env.call_soon(self._finish_local, message, src)
-            return done
+            return
 
         wire_bytes = message.wire_bytes
         stats = self.stats
@@ -364,44 +354,9 @@ class Network:
                     clock[link] = arrival
                     # The receiving side pays a kernel call too, serialized
                     # on its own NIC — but only after the message arrives.
-                    # Open-coded env.call_at (see the bucket layout in
-                    # repro.sim.kernel): `arrival` can never be in the
-                    # past here, and skipping the call frame is worth it
-                    # on the hottest non-kernel path in the simulator.
-                    buckets = env._buckets
-                    b = buckets.get(arrival)
-                    if b is None:
-                        bpool = env._bucket_pool
-                        if bpool:
-                            b = bpool.pop()
-                            lane = b[0]
-                            lane.append(self._arrive)
-                            lane.append((message, dst))
-                            buckets[arrival] = b
-                        else:
-                            buckets[arrival] = [
-                                [self._arrive, (message, dst)],
-                                0,
-                                None,
-                                0,
-                            ]
-                        heappush(env._times, arrival)
-                    else:
-                        lane = b[0]
-                        lane.append(self._arrive)
-                        lane.append((message, dst))
+                    env.call_at(arrival, self._arrive, message, dst)
                 else:
                     self._send_with_faults(message, dst, send_done, faults)
-
-        if not want_done:
-            return None
-        # Pre-triggered and scheduled directly at send_done — exactly a
-        # Timeout's semantics without the Timeout + closure + re-schedule.
-        done = Event(env)
-        done._ok = True
-        done._value = None
-        env.schedule(done, send_done - now)
-        return done
 
     def _send_with_faults(
         self, message: Message, dst: "Node", send_done: float, faults
@@ -497,30 +452,7 @@ class Network:
         receive_done = receive_start + self.kernel_overhead
         nic[dst.name] = receive_done
         if receive_done > now:
-            # Open-coded env.call_at, as in send(): receive_done > now,
-            # so the past-check is vacuous.
-            buckets = env._buckets
-            b = buckets.get(receive_done)
-            if b is None:
-                bpool = env._bucket_pool
-                if bpool:
-                    b = bpool.pop()
-                    lane = b[0]
-                    lane.append(self._finish_remote)
-                    lane.append((message, dst))
-                    buckets[receive_done] = b
-                else:
-                    buckets[receive_done] = [
-                        [self._finish_remote, (message, dst)],
-                        0,
-                        None,
-                        0,
-                    ]
-                heappush(env._times, receive_done)
-            else:
-                lane = b[0]
-                lane.append(self._finish_remote)
-                lane.append((message, dst))
+            env.call_at(receive_done, self._finish_remote, message, dst)
         else:
             self._finish_remote(message, dst)
 

@@ -2,7 +2,7 @@
 
 :class:`TcpNetwork` is a drop-in for :class:`repro.net.network.Network`
 as seen by the layers above it — stream senders/receivers and guardian
-endpoints call exactly ``.send(message, want_done=False)``, ``.node()``,
+endpoints call exactly ``.send(message)``, ``.tx_free_at()``, ``.node()``,
 ``.add_node()``, ``.stats`` and ``._forget_node_clocks()`` — but each
 packet travels as a length-prefixed frame (:mod:`repro.streams.frames`)
 over a TCP connection to the process hosting the destination node.
@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.encoding.errors import DecodeError
 from repro.net.message import Message
 from repro.net.network import NetworkStats, Node, NodeDown
-from repro.sim.events import Event
 from repro.streams.frames import (
     FrameAssembler,
     Hello,
@@ -179,7 +178,7 @@ class TcpNetwork:
         bytes, so a send never queues behind an earlier one here."""
         return 0.0
 
-    def send(self, message: Message, want_done: bool = True) -> Optional[Event]:
+    def send(self, message: Message) -> None:
         src = self._nodes.get(message.src)
         if src is None:
             self.node(message.src)  # canonical KeyError
@@ -223,13 +222,6 @@ class TcpNetwork:
                 self._trace(
                     "message.dropped", src=message.src, dst=dst_name, reason="no_route"
                 )
-        if not want_done:
-            return None
-        done = Event(env)
-        done._ok = True
-        done._value = None
-        env.schedule(done, 0.0)
-        return done
 
     def _write(self, conn: _Conn, data: bytes) -> None:
         conn.write_frame(data)

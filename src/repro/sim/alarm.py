@@ -3,23 +3,17 @@
 Timer-driven behaviour (buffer flush deadlines, retransmission timeouts,
 acknowledgement delays) needs a primitive that can be armed, re-armed and
 cancelled cheaply without leaking processes.  ``Alarm`` wraps the pattern:
-one alarm object, at most one pending callback, cancel/re-arm at will.
+one alarm object, one deadline, cancel/re-arm at will.
 
-Cancellation and re-arming are *lazy*: the alarm never removes anything
-from the calendar; it marks its pending timer record dead in place (an
-O(1) pointer write — the kernel's drain loop skips dead records at their
-slot without running any alarm code).  Unlike the naive one-timer-per-arm
-scheme, re-arming reuses a pending timer whenever that timer fires at or
-before the new deadline — so a hot alarm that is re-armed on every packet
-(the RTO pattern) keeps a single calendar entry instead of piling up one
-dead Timeout + closure per packet.  Timers go through the kernel's pooled
-cancellable lane (:meth:`~repro.sim.kernel.Environment.call_at_cancellable`),
-so no Event objects are allocated at all, and fired records are recycled.
-
-The reuse algorithm deliberately creates calendar entries at exactly the
-same simulated moments the pre-timer-wheel implementation did (DESIGN.md
-section 13 gives the case analysis), which is what keeps golden traces
-bit-identical across the kernel change.
+The alarm never removes anything from the calendar.  Its timers are plain
+:meth:`~repro.sim.kernel.Environment.call_at` entries that all run
+:meth:`Alarm._on_timer`, which acts on the alarm's *current* state:
+cancelling clears the deadline, so a timer that comes up disarmed does
+nothing, and one that comes up early (the alarm was re-armed later
+meanwhile) reschedules itself once for the new deadline.  Re-arming
+therefore reuses a pending timer whenever that timer fires at or before the
+new deadline — a hot alarm re-armed on every packet (the RTO pattern) keeps
+a single calendar entry instead of piling up one dead timer per packet.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ __all__ = ["Alarm"]
 class Alarm:
     """A re-armable one-shot timer firing a callback at a deadline."""
 
-    __slots__ = ("env", "_callback", "_deadline", "_next_fire", "_entry", "_gen")
+    __slots__ = ("env", "_callback", "_deadline", "_next_fire")
 
     def __init__(self, env: Environment, callback: Callable[[], None]) -> None:
         self.env = env
@@ -43,15 +37,8 @@ class Alarm:
         self._deadline: Optional[float] = None
         #: Earliest pending calendar timer known to cover the deadline, or
         #: None if no timer is known to be pending.  Invariant: whenever
-        #: ``_deadline`` is set, some *live* pending timer fires at or
-        #: before it.
+        #: ``_deadline`` is set, some pending timer fires at or before it.
         self._next_fire: Optional[float] = None
-        #: The most recently created calendar record and its generation,
-        #: so cancel() can kill it in place and arm() can revive it.  The
-        #: generation check detects records that fired and were reissued
-        #: by the kernel's free list to an unrelated timer.
-        self._entry = None
-        self._gen = 0
 
     @property
     def armed(self) -> bool:
@@ -72,25 +59,7 @@ class Alarm:
         next_fire = self._next_fire
         if next_fire is None or next_fire > deadline:
             self._next_fire = deadline
-            entry = env.call_at_cancellable(deadline, self._on_timer)
-            self._entry = entry
-            self._gen = entry.gen
-            return
-        # A pending timer already fires at or before the new deadline.
-        entry = self._entry
-        if entry is not None and entry.gen == self._gen:
-            if entry.fn is None:
-                # cancel() killed it in place; revive the same slot.
-                entry.fn = self._on_timer
-            return
-        # The tracked record was consumed while cancelled (its slot came
-        # up and was skipped), so nothing is actually pending: _next_fire
-        # is stale.  Schedule fresh — the old implementation reached this
-        # same state with _next_fire already cleared by the no-op fire.
-        self._next_fire = deadline
-        entry = env.call_at_cancellable(deadline, self._on_timer)
-        self._entry = entry
-        self._gen = entry.gen
+            env.call_at(deadline, self._on_timer)
 
     def arm_if_idle(self, delay: float) -> None:
         """Arm only if no deadline is currently pending."""
@@ -98,16 +67,9 @@ class Alarm:
             self.arm(delay)
 
     def cancel(self) -> None:
-        """Cancel any pending deadline.
-
-        Lazy: the timer record stays queued, but its function slot is
-        nulled (generation-checked, in case the record already fired and
-        was reissued) so the kernel skips it in O(1) at its slot.
-        """
+        """Cancel any pending deadline (its timer stays queued and comes
+        up as a no-op, or is reused by the next :meth:`arm`)."""
         self._deadline = None
-        entry = self._entry
-        if entry is not None and entry.gen == self._gen:
-            entry.fn = None
 
     def _on_timer(self) -> None:
         self._next_fire = None
@@ -119,9 +81,7 @@ class Alarm:
             # Re-armed to a later deadline: this timer covers it by
             # rescheduling once, instead of one timer per arm().
             self._next_fire = deadline
-            entry = env.call_at_cancellable(deadline, self._on_timer)
-            self._entry = entry
-            self._gen = entry.gen
+            env.call_at(deadline, self._on_timer)
             return
         self._deadline = None
         self._callback()

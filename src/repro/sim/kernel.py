@@ -6,37 +6,27 @@ guardian, agent and network link inside a single simulated timeline so that
 per-message overheads, wire latencies and handler compute times are explicit,
 controllable model parameters (see DESIGN.md section 2).
 
-The calendar is a **bucket calendar queue** (DESIGN.md section 13): a heap
-of *distinct* pending timestamps plus a dict mapping each timestamp to its
-bucket of entries.  Simulation workloads schedule overwhelmingly at small
-deltas from *now* — network deliveries at ``now + latency``, RTO timers,
-flush alarms, ``call_soon`` continuations — so timestamps repeat heavily
-and the heap stays tiny (one entry per distinct time, not per event).
-Each bucket holds two append-only FIFO lanes (urgent, normal) drained with
-a cursor, which reproduces the previous global-heap ``(time, priority,
-seq)`` ordering exactly: insertion order within a lane *is* seq order, and
-the urgent lane is re-checked before every fire so urgent events always
-run before normal events at the same timestamp.  Far-future timers need no
-special overflow tier — a far timestamp is simply one more heap entry that
-sits unexamined until the clock reaches it.
+The calendar is a heap of the *distinct* pending timestamps plus a dict
+mapping each timestamp to its **lane**: one flat list of ``(head,
+payload)`` slot pairs in insertion order (DESIGN.md section 8).  Workloads
+schedule overwhelmingly at small deltas from *now* — network deliveries
+at ``now + latency``, RTO timers, ``call_soon`` continuations — so
+timestamps repeat heavily and the heap stays tiny (one entry per distinct
+time, not per event); a far-future timer is simply one more heap entry
+that sits unexamined until the clock reaches it.  A slot pair is one of
+two kinds:
 
-A lane is a flat ring of ``(head, payload)`` slot pairs, not a list of
-entry objects:
+* ``head is _EV`` — *payload* is an Event to fire;
+* otherwise *head* is a plain callable and *payload* its argument tuple —
+  the common case, costing nothing beyond the tuple Python builds anyway.
 
-* ``head is _EV``      — *payload* is an Event to fire;
-* ``head`` is a pooled :class:`_Callback` record — a cancellable timer;
-  *payload* is its argument tuple (the record itself only carries the
-  function and a generation counter);
-* otherwise ``head`` is a plain callable and *payload* its argument
-  tuple — the common case, costing zero allocations beyond the argument
-  tuple Python builds anyway.
-
-Cancellable timers are pooled: consumed ``_Callback`` records go on a free
-list and are reissued by the next ``call_at_cancellable``, so steady-state
-timer traffic allocates nothing.  The generation counter on each record
-lets holders (e.g. :class:`~repro.sim.alarm.Alarm`) cancel a pending timer
-in O(1) by nulling its function slot — the drain loop skips dead records
-at their slot — without being fooled by record reuse.
+URGENT events live apart, in a second ``time -> list of events`` dict that
+is almost always empty (a process start or an interrupt sits there only
+until the next fire).  The drain loop looks at it before every fire, so an
+URGENT event always runs before the NORMAL entries left at its timestamp
+and the order is exactly ``(time, priority, insertion order)``.  Nothing is
+ever removed from the middle of a lane: holders that need to cancel (see
+:class:`~repro.sim.alarm.Alarm`) make their callback a no-op instead.
 
 Simulated processes are Python generators that yield
 :class:`~repro.sim.events.Event` objects to block; the machinery for that
@@ -70,39 +60,10 @@ Infinity = float("inf")
 #: Lane sentinel: the slot after an ``_EV`` head holds an Event to fire.
 _EV = object()
 
-#: Maximum number of drained bucket structures kept for reuse.
-_BUCKET_POOL_LIMIT = 4096
-
-# Bucket layout: [normal_lane, normal_cursor, urgent_lane_or_None,
-# urgent_cursor].  Cursors index slots (they advance by 2 per entry).  The
-# urgent lane is lazily allocated because most timestamps only ever see
-# normal-priority entries (three list allocations per network message would
-# be measurable; DESIGN.md §8).
-
 # Filled in by repro.sim.events at import time so the run loop can inline
 # the (hot, exact-class) Event/Timeout fire path without an import cycle.
 _EVENT_CLASS: Any = None
 _TIMEOUT_CLASS: Any = None
-
-
-class _Callback:
-    """A cancellable calendar timer record.
-
-    Records are pooled (``Environment._cb_pool``) and reused; ``gen`` is
-    bumped every time a record is consumed, so a holder that remembered
-    ``(record, gen)`` can tell whether the record still belongs to it.
-    ``fn is None`` marks a cancelled entry, skipped in O(1) at its slot.
-    The argument tuple lives in the lane's payload slot, not here.
-    """
-
-    __slots__ = ("fn", "gen")
-
-    def __init__(self, fn: Callable[..., None]) -> None:
-        self.fn = fn
-        self.gen = 0
-
-    def __repr__(self) -> str:
-        return "<_Callback %r gen=%d at 0x%x>" % (self.fn, self.gen, id(self))
 
 
 class EmptySchedule(Exception):
@@ -127,20 +88,17 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        #: Heap of *distinct* pending timestamps; one entry per bucket.
+        #: Heap of the *distinct* pending timestamps: exactly the keys of
+        #: ``_lanes``.
         self._times: list = []
-        #: time -> bucket; see the lane-layout comment at module top.
-        self._buckets: dict = {}
-        #: Free list of consumed _Callback records awaiting reuse.
-        self._cb_pool: list = []
-        #: Free list of drained bucket structures ([lane, 0, None, 0],
-        #: lanes emptied) awaiting reuse.  Workloads whose timestamps are
-        #: mostly distinct (e.g. NIC-serialized network sends) would
-        #: otherwise allocate two fresh lists per calendar slot, which is
-        #: pure garbage-collector pressure; recycling keeps those
-        #: workloads allocation-free in steady state.  Capped so a burst
-        #: of distinct times cannot pin unbounded memory.
-        self._bucket_pool: list = []
+        #: time -> NORMAL lane, a flat list of (head, payload) slot pairs;
+        #: see the module docstring.  Empty only while every entry pending
+        #: at its timestamp is URGENT.
+        self._lanes: dict = {}
+        #: time -> pending URGENT events, oldest first.  Its keys are a
+        #: subset of ``_lanes``' (an URGENT insert creates an empty lane
+        #: if need be), so only ``_lanes`` inserts touch the heap.
+        self._urgent: dict = {}
         self._active_process = None
         #: Per-environment process serial numbers: deterministic both
         #: across runs *and* across environments in one interpreter, so
@@ -191,45 +149,18 @@ class Environment:
         return value
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or :data:`Infinity` if none.
-
-        Lazily discards buckets whose every entry has already been
-        consumed (possible when an exception stopped :meth:`run` on the
-        last entry of a bucket).
-        """
+        """Time of the next scheduled event, or :data:`Infinity` if none."""
         times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            b = buckets[t]
-            u = b[2]
-            if b[1] < len(b[0]) or (u is not None and b[3] < len(u)):
-                return t
-            heappop(times)
-            del buckets[t]
-            bpool = self._bucket_pool
-            if len(bpool) < _BUCKET_POOL_LIMIT:
-                del b[0][:]
-                b[1] = 0
-                if u is not None:
-                    b[2] = None
-                    b[3] = 0
-                bpool.append(b)
-        return Infinity
+        return times[0] if times else Infinity
 
     def queued_event_count(self) -> int:
         """Number of entries waiting on the calendar (for tests/stats).
 
-        Counts lazily-cancelled timers still occupying their slots, just
-        as the previous heap-based kernel counted stale alarm entries.
+        Counts timers whose holder has since disarmed them: they still
+        occupy their slots until their timestamp comes up.
         """
-        count = 0
-        for b in self._buckets.values():
-            count += len(b[0]) - b[1]
-            u = b[2]
-            if u is not None:
-                count += len(u) - b[3]
-        return count // 2
+        count = sum(len(lane) for lane in self._lanes.values()) // 2
+        return count + sum(len(events) for events in self._urgent.values())
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -244,61 +175,32 @@ class Environment:
         """
         if delay < 0:
             raise ValueError("cannot schedule an event in the past (delay=%r)" % delay)
-        t = self._now + delay
-        buckets = self._buckets
+        when = self._now + delay
+        lanes = self._lanes
         if priority == NORMAL:
-            b = buckets.get(t)
-            if b is None:
-                bpool = self._bucket_pool
-                if bpool:
-                    b = bpool.pop()
-                    lane = b[0]
-                    lane.append(_EV)
-                    lane.append(event)
-                    buckets[t] = b
-                else:
-                    buckets[t] = [[_EV, event], 0, None, 0]
-                heappush(self._times, t)
+            lane = lanes.get(when)
+            if lane is None:
+                lanes[when] = [_EV, event]
+                heappush(self._times, when)
             else:
-                lane = b[0]
                 lane.append(_EV)
                 lane.append(event)
         elif priority == URGENT:
-            b = buckets.get(t)
-            if b is None:
-                bpool = self._bucket_pool
-                if bpool:
-                    b = bpool.pop()
-                    b[2] = [_EV, event]
-                    buckets[t] = b
-                else:
-                    buckets[t] = [[], 0, [_EV, event], 0]
-                heappush(self._times, t)
-            else:
-                u = b[2]
-                if u is None:
-                    b[2] = [_EV, event]
-                else:
-                    u.append(_EV)
-                    u.append(event)
+            if when not in lanes:
+                lanes[when] = []
+                heappush(self._times, when)
+            self._urgent.setdefault(when, []).append(event)
         else:
             raise ValueError(
                 "unsupported priority %r (use URGENT or NORMAL)" % (priority,)
             )
 
-    # ------------------------------------------------------------------
-    # Fast callback lane
-    # ------------------------------------------------------------------
     # Timers that only need to invoke a function do not need an Event: no
-    # callbacks list, no outcome, nothing to wait on.  These entry points
-    # drop the callable and its argument tuple straight into the bucket's
-    # lane — zero allocations beyond the argument tuple itself.  The lane
-    # is NORMAL priority (nothing in the system needs an urgent bare
-    # timer; urgent scheduling stays on :meth:`schedule`).
-    #
-    # Timers that may need cancelling go through
-    # :meth:`call_at_cancellable`, which wraps the callable in a pooled
-    # record whose function slot can be nulled in O(1).
+    # callbacks list, no outcome, nothing to wait on.  These three drop the
+    # callable and its argument tuple straight into the lane, at NORMAL
+    # priority (urgent scheduling stays on :meth:`schedule`).  The insert
+    # is spelled out in each: they are the hottest calls in the simulator
+    # and a shared helper would cost every one of them a second frame.
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated time *when*."""
@@ -307,21 +209,11 @@ class Environment:
                 "cannot schedule a callback in the past (when=%r, now=%r)"
                 % (when, self._now)
             )
-        buckets = self._buckets
-        b = buckets.get(when)
-        if b is None:
-            bpool = self._bucket_pool
-            if bpool:
-                b = bpool.pop()
-                lane = b[0]
-                lane.append(fn)
-                lane.append(args)
-                buckets[when] = b
-            else:
-                buckets[when] = [[fn, args], 0, None, 0]
+        lane = self._lanes.get(when)
+        if lane is None:
+            self._lanes[when] = [fn, args]
             heappush(self._times, when)
         else:
-            lane = b[0]
             lane.append(fn)
             lane.append(args)
 
@@ -330,98 +222,24 @@ class Environment:
         if delay < 0:
             raise ValueError("cannot schedule a callback in the past (delay=%r)" % delay)
         when = self._now + delay
-        buckets = self._buckets
-        b = buckets.get(when)
-        if b is None:
-            bpool = self._bucket_pool
-            if bpool:
-                b = bpool.pop()
-                lane = b[0]
-                lane.append(fn)
-                lane.append(args)
-                buckets[when] = b
-            else:
-                buckets[when] = [[fn, args], 0, None, 0]
+        lane = self._lanes.get(when)
+        if lane is None:
+            self._lanes[when] = [fn, args]
             heappush(self._times, when)
         else:
-            lane = b[0]
             lane.append(fn)
             lane.append(args)
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` at the current time, after pending events."""
         when = self._now
-        buckets = self._buckets
-        b = buckets.get(when)
-        if b is None:
-            bpool = self._bucket_pool
-            if bpool:
-                b = bpool.pop()
-                lane = b[0]
-                lane.append(fn)
-                lane.append(args)
-                buckets[when] = b
-            else:
-                buckets[when] = [[fn, args], 0, None, 0]
+        lane = self._lanes.get(when)
+        if lane is None:
+            self._lanes[when] = [fn, args]
             heappush(self._times, when)
         else:
-            lane = b[0]
             lane.append(fn)
             lane.append(args)
-
-    def call_at_cancellable(
-        self, when: float, fn: Callable[..., None], *args: Any
-    ) -> _Callback:
-        """Like :meth:`call_at`, but returns a cancellation handle.
-
-        Capture the returned record together with its ``gen`` immediately;
-        the pair can later be passed to :meth:`cancel_callback` for an
-        O(1) lazy cancel.  Costs one pooled record on top of
-        :meth:`call_at` (nothing once the free list is warm).
-        """
-        if when < self._now:
-            raise ValueError(
-                "cannot schedule a callback in the past (when=%r, now=%r)"
-                % (when, self._now)
-            )
-        pool = self._cb_pool
-        if pool:
-            cb = pool.pop()
-            cb.fn = fn
-        else:
-            cb = _Callback(fn)
-        buckets = self._buckets
-        b = buckets.get(when)
-        if b is None:
-            bpool = self._bucket_pool
-            if bpool:
-                b = bpool.pop()
-                lane = b[0]
-                lane.append(cb)
-                lane.append(args)
-                buckets[when] = b
-            else:
-                buckets[when] = [[cb, args], 0, None, 0]
-            heappush(self._times, when)
-        else:
-            lane = b[0]
-            lane.append(cb)
-            lane.append(args)
-        return cb
-
-    def cancel_callback(self, handle: _Callback, gen: int) -> bool:
-        """Lazily cancel a pending cancellable timer in O(1).
-
-        *handle* and *gen* must be the record returned by
-        :meth:`call_at_cancellable` and its ``gen`` captured at scheduling
-        time.  If the record has since fired (and possibly been reissued
-        to someone else) the generation no longer matches and this is a
-        no-op.  Returns True if the entry was live and is now dead.
-        """
-        if handle.gen == gen and handle.fn is not None:
-            handle.fn = None
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # Execution
@@ -429,53 +247,34 @@ class Environment:
     def step(self) -> None:
         """Fire the single next entry.
 
-        Raises :class:`EmptySchedule` if the calendar is empty.  A
-        lazily-cancelled timer counts as one (no-op) entry, exactly as the
-        previous kernel fired the stale timer's guard function.
+        Raises :class:`EmptySchedule` if the calendar is empty.  Takes the
+        entry off the front of its lane, so it costs O(lane length);
+        :meth:`run` is the way to drain in bulk.
         """
         times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            b = buckets[t]
-            u = b[2]
-            if u is not None and b[3] < len(u):
-                cur = b[3]
-                head = u[cur]
-                payload = u[cur + 1]
-                b[3] = cur + 2
-            elif b[1] < len(b[0]):
-                lane = b[0]
-                cur = b[1]
-                head = lane[cur]
-                payload = lane[cur + 1]
-                b[1] = cur + 2
-            else:
-                heappop(times)
-                del buckets[t]
-                bpool = self._bucket_pool
-                if len(bpool) < _BUCKET_POOL_LIMIT:
-                    del b[0][:]
-                    b[1] = 0
-                    if u is not None:
-                        b[2] = None
-                        b[3] = 0
-                    bpool.append(b)
-                continue
-            self._now = t
-            if head is _EV:
-                payload._fire(self)
-            elif head.__class__ is _Callback:
-                fn = head.fn
-                head.fn = None
-                head.gen += 1
-                self._cb_pool.append(head)
-                if fn is not None:
-                    fn(*payload)
-            else:
-                head(*payload)
-            return
-        raise EmptySchedule()
+        if not times:
+            raise EmptySchedule()
+        t = times[0]
+        lane = self._lanes[t]
+        urgent = self._urgent
+        events = urgent.get(t)
+        if events is not None:
+            head = _EV
+            payload = events.pop(0)
+            if not events:
+                del urgent[t]
+        else:
+            head = lane[0]
+            payload = lane[1]
+            del lane[:2]
+        if not lane and t not in urgent:
+            heappop(times)
+            del self._lanes[t]
+        self._now = t
+        if head is _EV:
+            payload._fire(self)
+        else:
+            head(*payload)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -501,18 +300,16 @@ class Environment:
                 )
 
         # Inlined event loop (the hottest code in the whole simulator;
-        # DESIGN.md §8).  Per bucket: drain the urgent lane, then the
-        # normal lane, re-checking the urgent lane before every fire so a
-        # same-time URGENT insert made by a callback still runs first —
-        # exactly the ordering the old (time, priority, seq) heap
-        # produced.  Cursors are written back in `finally` so an exception
-        # escaping a callback (including StopSimulation from run-until-
-        # event) leaves the calendar resumable.
+        # DESIGN.md §8).  Per timestamp: walk the lane by index, looking
+        # at the urgent dict before every fire so a same-time URGENT
+        # insert made by a callback still runs first.  A callback may
+        # append to the lane being walked (``call_soon``), hence the
+        # ``len`` per entry.  The walked prefix is only cut off when an
+        # exception escapes a callback (StopSimulation from run-until-
+        # event included), which leaves the calendar resumable.
         times = self._times
-        buckets = self._buckets
-        pool = self._cb_pool
-        bpool = self._bucket_pool
-        cb_cls = _Callback
+        lanes = self._lanes
+        urgent = self._urgent
         ev_cls = _EVENT_CLASS
         to_cls = _TIMEOUT_CLASS
         ev_mark = _EV
@@ -523,20 +320,19 @@ class Environment:
                     self._now = limit
                     break
                 self._now = t
-                b = buckets[t]
-                nlane = b[0]
-                i = b[1]
+                lane = lanes[t]
+                i = 0
                 try:
                     while True:
-                        u = b[2]
-                        if u is not None and b[3] < len(u):
-                            cur = b[3]
-                            head = u[cur]
-                            payload = u[cur + 1]
-                            b[3] = cur + 2
-                        elif i < len(nlane):
-                            head = nlane[i]
-                            payload = nlane[i + 1]
+                        if urgent and t in urgent:
+                            events = urgent[t]
+                            head = ev_mark
+                            payload = events.pop(0)
+                            if not events:
+                                del urgent[t]
+                        elif i < len(lane):
+                            head = lane[i]
+                            payload = lane[i + 1]
                             i += 2
                         else:
                             break
@@ -556,28 +352,16 @@ class Environment:
                                     raise payload._value
                             else:
                                 payload._fire(self)
-                        elif head.__class__ is cb_cls:
-                            fn = head.fn
-                            head.fn = None
-                            head.gen += 1
-                            pool.append(head)
-                            if fn is not None:
-                                fn(*payload)
                         else:
                             head(*payload)
-                finally:
-                    b[1] = i
+                except BaseException:
+                    del lane[:i]
+                    if not lane and t not in urgent:
+                        heappop(times)
+                        del lanes[t]
+                    raise
                 heappop(times)
-                del buckets[t]
-                # Recycle the drained bucket (both lanes are exhausted —
-                # the inner loop only exits when nothing is left).
-                if len(bpool) < _BUCKET_POOL_LIMIT:
-                    del nlane[:]
-                    b[1] = 0
-                    if b[2] is not None:
-                        b[2] = None
-                        b[3] = 0
-                    bpool.append(b)
+                del lanes[t]
         except StopSimulation as stop:
             return stop.value
 

@@ -472,7 +472,7 @@ class StreamReceiver:
             packet.size,
         )
         try:
-            self.network.send(message, want_done=False)
+            self.network.send(message)
         except NodeDown:
             return
         self._last_acked_call = self.expected_seq - 1

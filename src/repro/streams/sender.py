@@ -596,7 +596,7 @@ class StreamSender:
             packet.size,
         )
         try:
-            self.network.send(message, want_done=False)
+            self.network.send(message)
         except NodeDown:
             # Our own node is down; the enclosing guardian is dead anyway.
             return

@@ -205,39 +205,6 @@ def test_on_ready_callback_runs_at_resolution(env):
     assert seen == [2]
 
 
-def test_all_ready_combinator(env):
-    promises = [Promise(env) for _ in range(3)]
-
-    def resolver(env):
-        for index, promise in enumerate(promises):
-            yield env.timeout(1.0)
-            promise.resolve_normal(index)
-
-    env.process(resolver(env))
-
-    def waiter(env):
-        yield Promise.all_ready(env, promises)
-        return env.now
-
-    assert env.run(until=env.process(waiter(env))) == 3.0
-
-
-def test_any_ready_combinator(env):
-    promises = [Promise(env) for _ in range(3)]
-
-    def resolver(env):
-        yield env.timeout(2.0)
-        promises[1].resolve_normal("first")
-
-    env.process(resolver(env))
-
-    def waiter(env):
-        yield Promise.any_ready(env, promises)
-        return env.now
-
-    assert env.run(until=env.process(waiter(env))) == 2.0
-
-
 def test_multiple_claimers_all_resolved(env):
     promise = Promise(env)
     results = []

@@ -6,8 +6,6 @@ from repro.graph import FLAG_COLLECTOR, FLAG_EMIT, GraphBuilder, GraphError
 
 from . import helpers  # noqa: F401  (registers the t.* routines)
 
-pytestmark = pytest.mark.graph
-
 
 def test_then_checks_the_type_row():
     g = GraphBuilder()

@@ -14,8 +14,6 @@ from repro.obs.__main__ import main
 from ..conftest import run_client
 from .helpers import build_graph_system
 
-pytestmark = pytest.mark.graph
-
 
 @pytest.fixture(scope="module")
 def graph_trace(tmp_path_factory):

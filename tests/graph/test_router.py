@@ -4,8 +4,6 @@ import pytest
 
 from repro.graph import ShardRouter, mix64
 
-pytestmark = pytest.mark.graph
-
 
 def test_mix64_is_deterministic_and_64_bit():
     seen = set()

@@ -9,7 +9,6 @@ from repro.graph import GraphBuilder, GraphError
 from ..conftest import run_client
 from .helpers import build_graph_system
 
-pytestmark = pytest.mark.graph
 
 SETTLE = 40.0  # sim seconds; far beyond any propagation in these worlds
 

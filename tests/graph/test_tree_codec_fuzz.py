@@ -38,7 +38,6 @@ from repro.graph.codec import (
 )
 from repro.types import BOOL, CHAR, INT, REAL, STRING, ArrayOf, RecordOf
 
-pytestmark = pytest.mark.graph
 
 SEED = 19880207  # same era pin as the transmit fuzz suite
 

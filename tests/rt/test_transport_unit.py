@@ -86,6 +86,6 @@ def test_send_without_route_counts_a_drop(host):
     packet = sample_call_packets()[0]
     message = Message("node:a", "node:ghost", "g:addr", packet, 64)
     before = host.network.stats.messages_dropped_crash
-    host.network.send(message, want_done=False)
+    host.network.send(message)
     assert host.network.stats.messages_dropped_crash == before + 1
     assert host.network.stats.messages_sent == 1  # counted, then dropped

@@ -1,73 +1,84 @@
-"""Unit tests for the bucket-calendar kernel internals added in PR 7.
-
-These cover the mechanics the black-box kernel tests cannot see: the
-pooled cancellable-timer records (O(1) lazy cancel, generation-checked
-reuse), the bucket free list, and the regression guard that mass alarm
-create+cancel traffic keeps the pending-timer structures bounded
-(the old heap kernel retained one dead entry per cancelled alarm until
-its deadline came up; the complaint in ISSUE satellite (b)).
+"""Calendar and alarm behaviour the black-box kernel tests do not reach:
+a cancelled alarm's timer coming up as a no-op, cancel-then-re-arm firing
+exactly once, the calendar staying resumable after an exception escapes
+:meth:`Environment.run`, and the regression guard that mass alarm
+create+cancel traffic leaves nothing behind on the calendar.
 """
 
 import pytest
 
 from repro.sim import Environment
 from repro.sim.alarm import Alarm
-from repro.sim.kernel import NORMAL, URGENT
+from repro.sim.kernel import NORMAL, URGENT, Infinity
 
 
 # ----------------------------------------------------------------------
-# Cancellable callback lane
+# Alarm cancellation (the alarm never takes its timer off the calendar)
 # ----------------------------------------------------------------------
-def test_cancellable_timer_fires_with_args():
+def test_cancelled_alarm_timer_comes_up_as_noop():
     env = Environment()
     fired = []
-    env.call_at_cancellable(2.0, lambda a, b: fired.append((a, b)), 1, 2)
-    env.run()
-    assert fired == [(1, 2)]
-    assert env.now == 2.0
-
-
-def test_cancel_callback_prevents_fire():
-    env = Environment()
-    fired = []
-    handle = env.call_at_cancellable(2.0, fired.append, "x")
-    assert env.cancel_callback(handle, handle.gen) is True
+    alarm = Alarm(env, lambda: fired.append(env.now))
+    alarm.arm(2.0)
+    alarm.cancel()
+    assert env.queued_event_count() == 1
     env.run()
     assert fired == []
-    # The dead slot was still consumed; time advanced to its bucket.
+    # The disarmed timer still came up: time advanced to its timestamp.
     assert env.now == 2.0
+    assert env.queued_event_count() == 0
 
 
-def test_cancel_callback_is_generation_checked():
+def test_cancel_then_rearm_later_fires_once_at_new_deadline():
     env = Environment()
     fired = []
-    handle = env.call_at_cancellable(1.0, fired.append, "first")
-    gen = handle.gen
+    alarm = Alarm(env, lambda: fired.append(env.now))
+    alarm.arm(2.0)
+    alarm.cancel()
+    alarm.arm(5.0)
+    # The pending timer at 2.0 covers the new deadline: no second entry.
+    assert env.queued_event_count() == 1
     env.run()
-    assert fired == ["first"]
-    # The record fired, went back to the pool, and was reissued: a stale
-    # cancel with the old generation must not kill the new owner's timer.
-    reissued = env.call_at_cancellable(2.0, fired.append, "second")
-    assert reissued is handle  # pooled reuse is what makes this test real
-    assert env.cancel_callback(handle, gen) is False
-    env.run()
-    assert fired == ["first", "second"]
+    assert fired == [5.0]
 
 
-def test_cancel_callback_twice_reports_dead():
+def test_cancel_then_rearm_earlier_fires_once_at_new_deadline():
     env = Environment()
-    handle = env.call_at_cancellable(1.0, lambda: None)
-    assert env.cancel_callback(handle, handle.gen) is True
-    assert env.cancel_callback(handle, handle.gen) is False
+    fired = []
+    alarm = Alarm(env, lambda: fired.append(env.now))
+    alarm.arm(5.0)
+    alarm.cancel()
+    alarm.arm(2.0)
     env.run()
+    # The superseded timer at 5.0 comes up after the fire and does nothing.
+    assert fired == [2.0]
+    assert env.now == 5.0
+    assert not alarm.armed
 
 
-def test_cancellable_in_past_raises():
+def test_rearm_after_cancelled_timer_came_up_schedules_afresh():
+    env = Environment()
+    fired = []
+    alarm = Alarm(env, lambda: fired.append(env.now))
+    alarm.arm(1.0)
+    alarm.cancel()
+    env.run()
+    assert env.queued_event_count() == 0
+    alarm.arm(1.0)
+    assert env.queued_event_count() == 1
+    env.run()
+    assert fired == [2.0]
+
+
+def test_call_at_in_past_raises():
     env = Environment()
     env.call_at(1.0, lambda: None)
     env.run()
     with pytest.raises(ValueError):
-        env.call_at_cancellable(0.5, lambda: None)
+        env.call_at(0.5, lambda: None)
+    with pytest.raises(ValueError):
+        env.call_in(-0.5, lambda: None)
+    assert env.queued_event_count() == 0
 
 
 def test_schedule_rejects_unknown_priority():
@@ -93,52 +104,8 @@ def test_urgent_precedes_normal_at_same_time():
 
 
 # ----------------------------------------------------------------------
-# Bucket pooling
+# Exceptions leave the calendar resumable
 # ----------------------------------------------------------------------
-def test_bucket_pool_recycles_drained_buckets():
-    env = Environment()
-    for index in range(10):
-        env.call_at(float(index), lambda: None)
-    env.run()
-    assert env._buckets == {}
-    assert env._times == []
-    assert len(env._bucket_pool) >= 1
-    # Reusing a pooled bucket must behave exactly like a fresh one.
-    fired = []
-    env.call_at(20.0, fired.append, "a")
-    env.call_at(20.0, fired.append, "b")
-    env.run()
-    assert fired == ["a", "b"]
-
-
-def test_pooled_buckets_do_not_leak_entries_across_reuse():
-    env = Environment()
-    fired = []
-    # Mix all insert paths (schedule NORMAL/URGENT, call_at, call_soon)
-    # across several pool generations and check nothing fires twice.
-    for round_number in range(5):
-        base = env.now + 1.0
-        for k in range(3):
-            env.call_at(base + k, fired.append, (round_number, k))
-        event = env.event()
-        event._ok = True
-        event._value = None
-        env.schedule(event, 0.5, priority=URGENT)
-        env.run()
-    assert fired == [(r, k) for r in range(5) for k in range(3)]
-
-
-def test_bucket_pool_is_bounded():
-    from repro.sim.kernel import _BUCKET_POOL_LIMIT
-
-    env = Environment()
-    n = _BUCKET_POOL_LIMIT + 500
-    for index in range(n):
-        env.call_at(float(index), lambda: None)
-    env.run()
-    assert len(env._bucket_pool) <= _BUCKET_POOL_LIMIT
-
-
 def test_peek_discards_consumed_bucket_after_exception():
     env = Environment()
 
@@ -148,10 +115,8 @@ def test_peek_discards_consumed_bucket_after_exception():
     env.call_at(1.0, boom)
     with pytest.raises(RuntimeError):
         env.run()
-    # The bucket at t=1.0 was fully consumed when the exception escaped;
-    # peek() must lazily discard it rather than report a phantom event.
-    from repro.sim.kernel import Infinity
-
+    # The lane at t=1.0 was fully consumed when the exception escaped;
+    # peek() must not report a phantom event there.
     assert env.peek() is Infinity
     assert env.queued_event_count() == 0
 
@@ -175,7 +140,7 @@ def test_run_resumes_in_order_after_exception_mid_bucket():
 
 
 # ----------------------------------------------------------------------
-# Alarm growth regression (ISSUE satellite b)
+# Alarm growth regression
 # ----------------------------------------------------------------------
 def test_hot_alarm_rearm_keeps_single_calendar_entry():
     env = Environment()
@@ -183,7 +148,7 @@ def test_hot_alarm_rearm_keeps_single_calendar_entry():
     for _ in range(100_000):
         alarm.arm(0.5)
         alarm.cancel()
-    # Lazy cancel + in-place revive: the whole storm occupies one slot.
+    # Every re-arm reuses the pending timer: the whole storm is one entry.
     assert env.queued_event_count() == 1
     env.run()
     assert env.queued_event_count() == 0
@@ -200,9 +165,6 @@ def test_mass_create_cancel_alarms_stay_bounded():
         if index % 1000 == 999:
             env.run(env.now + 1.0)
     env.run()
-    # Every timer record was consumed (skipped dead) and recycled; the
-    # calendar, callback pool and bucket pool must all stay far below
-    # one-entry-per-alarm growth.
+    # Every disarmed timer came up and was dropped: nothing is left.
     assert env.queued_event_count() == 0
-    assert len(env._cb_pool) < 5_000
-    assert len(env._bucket_pool) < 5_000
+    assert env.peek() == Infinity

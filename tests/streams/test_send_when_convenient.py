@@ -57,11 +57,10 @@ def record_handovers(system):
     handovers = []
     send = network.send
 
-    def recording_send(message, want_done=True):
-        done = send(message, want_done)
+    def recording_send(message):
+        send(message)
         if isinstance(message.payload, CallPacket) and message.payload.entries:
             handovers.append((system.now, network.tx_free_at(message.src)))
-        return done
 
     network.send = recording_send
     return handovers
