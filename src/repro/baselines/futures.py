@@ -136,14 +136,13 @@ class FutureRuntime:
         """View a stream-call promise as an untyped future (for E7)."""
         fut = MLFuture(self.env)
 
-        def transfer(p) -> None:
-            outcome = p.outcome()
+        def transfer(outcome) -> None:
             if outcome.is_normal:
                 fut.resolve(outcome.apply())
             else:
                 fut.resolve(ErrorValue(outcome.exception, ["remote call"]))
 
-        promise.on_ready(transfer)
+        promise.on_resolved(transfer)
         return fut
 
     # ------------------------------------------------------------------

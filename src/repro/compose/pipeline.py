@@ -272,7 +272,7 @@ def run_vat_phased(ctx, pipeline: Pipeline, items: Sequence[Any]) -> Promise:
                     position + 1, values, [index for index, _promise in calls]
                 )
 
-            gathered._subscribe(settle)
+            gathered.on_resolved(settle)
 
         if not live:
             ref.flush()
@@ -354,9 +354,9 @@ def run_vat_per_item(ctx, pipeline: Pipeline, items: Sequence[Any]) -> Promise:
                 if not outcome.is_normal:
                     run.resolve(outcome)
                     return
-                do_stage(index, item, position + 1, Promise._unwrap(outcome))
+                do_stage(index, item, position + 1, outcome.apply())
 
-            promise._subscribe(on_outcome)
+            promise.on_resolved(on_outcome)
 
         if stage.filter.cost > 0:
             env.call_in(stage.filter.cost, apply_and_call)

@@ -27,18 +27,20 @@ one.  Continuations cost one vat-queue entry per registration instead of
 one simulated process per outstanding promise, which is what lets a
 single process hold 10^5+ pending promises
 (``tests/concurrency/test_vat_stress.py`` measures exactly this difference).
+
+A blocked promise keeps everyone waiting on it in one field, ``_pending``:
+None, a single ``(first, second)`` entry, or a list of them.  A blocked
+claim parks ``(event, claimed_at)``; a continuation parks ``(fn, span)``.
+:meth:`Promise.resolve` wakes the entries in registration order, in one
+loop: a claim event is scheduled on the calendar at the resolving
+timestamp, a continuation is enqueued on the vat.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from repro.core.exceptions import (
-    ArgusError,
-    PromiseError,
-    PromiseNotReady,
-    Signal,
-)
+from repro.core.exceptions import ArgusError, PromiseError, PromiseNotReady, Signal
 from repro.core.outcome import Outcome
 from repro.sim.events import Event
 from repro.sim.kernel import Environment
@@ -90,6 +92,10 @@ class Promise:
     once; the *claimer* side calls :meth:`claim` any number of times.
     """
 
+    __slots__ = (
+        "env", "ptype", "label", "promise_id", "created_at", "_outcome", "_pending", "claim_count"
+    )
+
     def __init__(
         self,
         env: Environment,
@@ -106,12 +112,11 @@ class Promise:
         #: Simulated time the promise came into existence (call time).
         self.created_at = env.now
         self._outcome: Optional[Outcome] = None
-        self._waiters: List[Event] = []
-        #: Registered continuations: None while none exist, a single
-        #: ``(fn, span)`` tuple for one (the overwhelmingly common case —
-        #: at 10^5 pending promises the saved list is megabytes), a list
-        #: of such tuples beyond that.
-        self._continuations: Any = None
+        #: The one wake-up list: None while nobody waits, a single
+        #: ``(event, claimed_at)`` or ``(fn, span)`` tuple for one waiter
+        #: (the overwhelmingly common case — at 10^5 pending promises the
+        #: saved list is megabytes), a list of such tuples beyond that.
+        self._pending: Any = None
         #: Number of claim operations performed (used by benchmarks).
         self.claim_count = 0
         if outcome is not None:
@@ -120,23 +125,16 @@ class Promise:
             # happens, so the created event carries resolved=True for the
             # lifecycle monitor's benefit.
             if not isinstance(outcome, Outcome):
-                raise TypeError(
-                    "outcome must be an Outcome, got %r" % (outcome,)
-                )
+                raise TypeError("outcome must be an Outcome, got %r" % (outcome,))
             self._outcome = self._coerce(outcome)
         tracer = env.tracer
         if tracer is not None:
             if self._outcome is not None:
                 tracer.emit(
-                    "promise.created",
-                    promise_id=self.promise_id,
-                    label=label,
-                    resolved=True,
+                    "promise.created", promise_id=self.promise_id, label=label, resolved=True
                 )
             else:
-                tracer.emit(
-                    "promise.created", promise_id=self.promise_id, label=label
-                )
+                tracer.emit("promise.created", promise_id=self.promise_id, label=label)
 
     @classmethod
     def make_fulfilled(
@@ -197,49 +195,28 @@ class Promise:
         """
         self.claim_count += 1
         event = Event(self.env)
+        outcome = self._outcome
         tracer = self.env.tracer
         if tracer is not None:
-            ready = self._outcome is not None
-            tracer.emit(
-                "promise.claimed", promise_id=self.promise_id, ready=ready
-            )
-            if ready:
-                tracer.emit(
-                    "promise.claim_latency", promise_id=self.promise_id, wait=0.0
-                )
-            else:
-                # The wait ends when the claim event is delivered, which
-                # happens at the promise's resolution time.
-                claimed_at = self.env.now
-
-                def _record_wait(_event: Event) -> None:
-                    active = self.env.tracer
-                    if active is not None:
-                        active.emit(
-                            "promise.claim_latency",
-                            promise_id=self.promise_id,
-                            wait=self.env.now - claimed_at,
-                        )
-
-                event.callbacks.append(_record_wait)
-        if self._outcome is not None:
-            self._deliver(event, self._outcome)
+            tracer.emit("promise.claimed", promise_id=self.promise_id, ready=outcome is not None)
+        if outcome is None:
+            # Woken by resolve(), which also records the claim latency.
+            self._park((event, self.env.now))
         else:
-            self._waiters.append(event)
+            if tracer is not None:
+                tracer.emit("promise.claim_latency", promise_id=self.promise_id, wait=0.0)
+            self._deliver(event, outcome)
         return event
 
     def wait(self) -> Event:
         """Block until ready, delivering the :class:`Outcome` (never raises).
 
         Useful for code that wants to inspect the termination condition
-        without exception handling, e.g. the ``synch`` implementation.
+        without exception handling.  It is a continuation: the outcome
+        rides a derived promise as its one normal result, so the event
+        fires on the vat turn after resolution, at the same timestamp.
         """
-        event = Event(self.env)
-        if self._outcome is not None:
-            event.succeed(self._outcome)
-        else:
-            self._waiters.append(_OutcomeWaiter(event))  # type: ignore[arg-type]
-        return event
+        return self.when_resolved(Outcome.normal).claim()
 
     # ------------------------------------------------------------------
     # Resolver-side interface
@@ -257,35 +234,34 @@ class Promise:
         if not isinstance(outcome, Outcome):
             raise TypeError("resolve requires an Outcome, got %r" % (outcome,))
         if self._outcome is not None:
-            raise PromiseError(
-                "promise %r is already ready; its value never changes" % self
-            )
-        self._outcome = self._coerce(outcome)
-        tracer = self.env.tracer
+            raise PromiseError("promise %r is already ready; its value never changes" % self)
+        self._outcome = outcome = self._coerce(outcome)
+        pending, self._pending = self._pending, None
+        if pending is None:
+            pending = ()
+        elif type(pending) is tuple:
+            pending = (pending,)
+        env = self.env
+        tracer = env.tracer
         if tracer is not None:
             tracer.emit(
                 "promise.resolved",
                 promise_id=self.promise_id,
-                status=self._outcome.condition,
-                age=self.env.now - self.created_at,
-                waiters=len(self._waiters),
+                status=outcome.condition,
+                age=env.now - self.created_at,
+                waiters=sum(1 for first, _ in pending if type(first) is Event),
             )
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            if isinstance(waiter, _OutcomeWaiter):
-                if not waiter.event.triggered:
-                    waiter.event.succeed(self._outcome)
-            elif not waiter.triggered:
-                self._deliver(waiter, self._outcome)
-        continuations, self._continuations = self._continuations, None
-        if continuations is not None:
-            vat = _get_vat(self.env)
-            outcome = self._outcome
-            if type(continuations) is tuple:
-                vat.do_soon(continuations[0], outcome, span=continuations[1])
+        # One loop, registration order: a blocked claim is scheduled at
+        # this timestamp, a continuation is enqueued on the vat.
+        for first, second in pending:
+            if type(first) is Event:
+                if tracer is not None:
+                    tracer.emit(
+                        "promise.claim_latency", promise_id=self.promise_id, wait=env.now - second
+                    )
+                self._deliver(first, outcome)
             else:
-                for fn, span in continuations:
-                    vat.do_soon(fn, outcome, span=span)
+                _get_vat(env).do_soon(first, outcome, span=second)
 
     def resolve_normal(self, *results: Any) -> None:
         """Convenience: resolve with a normal outcome."""
@@ -305,9 +281,7 @@ class Promise:
             try:
                 check_results(self.ptype.returns, outcome.results)
             except TypeViolation as violation:
-                return Outcome.failure(
-                    "could not decode: %s" % (violation,)
-                )
+                return Outcome.failure("could not decode: %s" % (violation,))
             return outcome
         exc = outcome.exception
         if isinstance(exc, Signal):
@@ -331,40 +305,35 @@ class Promise:
 
     @staticmethod
     def _deliver(event: Event, outcome: Outcome) -> None:
+        """Trigger a claim event: the claim value, or the call's exception."""
         if outcome.is_normal:
-            results = outcome.results
-            if len(results) == 0:
-                event.succeed(None)
-            elif len(results) == 1:
-                event.succeed(results[0])
-            else:
-                event.succeed(results)
+            event.succeed(outcome.apply())
         else:
             event.defused = True
             event.fail(outcome.exception)
 
-    def on_ready(self, callback: Callable[["Promise"], None]) -> None:
-        """Invoke *callback(promise)* once the promise becomes ready.
-
-        This is a runtime-internal hook (the stream receiver uses it to
-        release replies in order); application code should prefer
-        :meth:`claim`.
-        """
-        if self._outcome is not None:
-            callback(self)
-            return
-        event = self.wait()
-
-        def run(_event: Event) -> None:
-            callback(self)
-
-        event.callbacks.append(run)
+    def _park(self, entry: Tuple[Any, Any]) -> None:
+        """Append *entry* to the wake-up list (see ``_pending``)."""
+        pending = self._pending
+        if pending is None:
+            self._pending = entry
+        elif type(pending) is tuple:
+            self._pending = [pending, entry]
+        else:
+            pending.append(entry)
 
     # ------------------------------------------------------------------
     # Continuations (the vat layer; see module docstring)
     # ------------------------------------------------------------------
-    def _subscribe(self, fn: Callable[[Outcome], None]) -> None:
-        """Schedule ``fn(outcome)`` on the vat once the promise is ready.
+    def on_resolved(self, fn: Callable[[Outcome], None]) -> None:
+        """Fire-and-forget continuation: ``fn(outcome)`` on the vat.
+
+        The consumption primitive under :meth:`when_resolved`, without
+        the derived promise — one ``(fn, span)`` wake-up entry is the
+        *entire* per-promise cost, which is what the 10^5-pending-promise
+        benchmark measures.  Use this when nothing downstream chains on
+        the callback's result; use :meth:`when_resolved` when something
+        does.  Fires exactly once, even if already ready.
 
         The registering activity's causal span is captured so the callback
         runs under it (continuation hops stay on the caller's trace).  If
@@ -379,21 +348,15 @@ class Promise:
         if self._outcome is not None:
             _get_vat(self.env).do_soon(fn, self._outcome, span=span)
         else:
-            registered = self._continuations
-            if registered is None:
-                self._continuations = (fn, span)
-            elif type(registered) is tuple:
-                self._continuations = [registered, (fn, span)]
-            else:
-                registered.append((fn, span))
+            self._park((fn, span))
 
-    def _chain(
-        self, kind: str, callback: Callable[[Any], Any]
-    ) -> "Promise":
-        """Register *callback* and return the derived promise for its result."""
-        derived = Promise(
-            self.env, label="%s(#%d)" % (kind, self.promise_id)
-        )
+    def _chain(self, kind: str, callback: Callable[[Outcome], Any]) -> "Promise":
+        """Register *callback* and return the derived promise for its result.
+
+        *kind* only names things: the derived promise, its trace event and
+        the crash message.
+        """
+        derived = Promise(self.env, label="%s(#%d)" % (kind, self.promise_id))
         tracer = self.env.tracer
         if tracer is not None:
             tracer.emit(
@@ -412,52 +375,24 @@ class Promise:
             active = self.env.tracer
             if active is not None:
                 active.emit(
-                    "promise.claimed",
-                    promise_id=self.promise_id,
-                    ready=True,
-                    via="continuation",
+                    "promise.claimed", promise_id=self.promise_id, ready=True, via="continuation"
                 )
             try:
-                if kind == "when_fulfilled":
-                    if not outcome.is_normal:
-                        derived.resolve(outcome)
-                        return
-                    result = callback(self._unwrap(outcome))
-                elif kind == "when_broken":
-                    if outcome.is_normal:
-                        derived.resolve(outcome)
-                        return
-                    result = callback(outcome.exception)
-                else:
-                    result = callback(outcome)
+                result = callback(outcome)
             except ArgusError as exc:
                 derived.resolve(Outcome.exceptional(exc))
                 return
             except Exception as exc:
                 derived.resolve(
                     Outcome.failure(
-                        "%s continuation for promise #%d crashed: %r"
-                        % (kind, self.promise_id, exc)
+                        "%s continuation for promise #%d crashed: %r" % (kind, self.promise_id, exc)
                     )
                 )
                 return
             self._settle(derived, result)
 
-        self._subscribe(run)
+        self.on_resolved(run)
         return derived
-
-    def on_resolved(self, fn: Callable[[Outcome], None]) -> None:
-        """Fire-and-forget continuation: ``fn(outcome)`` on the vat.
-
-        The consumption primitive under :meth:`when_resolved`, without
-        the derived promise — one ``(fn, span)`` queue entry is the
-        *entire* per-promise cost, which is what the 10^5-pending-promise
-        benchmark measures.  Use this when nothing downstream chains on
-        the callback's result; use :meth:`when_resolved` when something
-        does.  Fires exactly once, even if already ready (deferred to the
-        vat, never synchronous).
-        """
-        self._subscribe(fn)
 
     def when_resolved(self, callback: Callable[[Outcome], Any]) -> "Promise":
         """Run ``callback(outcome)`` on the vat once this promise is ready.
@@ -481,7 +416,11 @@ class Promise:
         promise — so exceptions propagate down a ``when_fulfilled`` chain
         exactly like values do.
         """
-        return self._chain("when_fulfilled", callback)
+
+        def fulfilled(outcome: Outcome) -> Any:
+            return callback(outcome.apply()) if outcome.is_normal else outcome
+
+        return self._chain("when_fulfilled", fulfilled)
 
     def when_broken(self, callback: Callable[[ArgusError], Any]) -> "Promise":
         """Run ``callback(exception)`` once this promise breaks.
@@ -491,28 +430,22 @@ class Promise:
         callback's return value fulfils the derived promise (recovery);
         raising breaks it again.
         """
-        return self._chain("when_broken", callback)
+
+        def broken(outcome: Outcome) -> Any:
+            return outcome if outcome.is_normal else callback(outcome.exception)
+
+        return self._chain("when_broken", broken)
 
     def _settle(self, derived: "Promise", result: Any) -> None:
         """Resolve *derived* from a continuation callback's return value."""
         if isinstance(result, Promise):
-            result._subscribe(derived.resolve)
+            result.on_resolved(derived.resolve)
         elif isinstance(result, Outcome):
             derived.resolve(result)
         elif result is None:
             derived.resolve(Outcome.normal())
         else:
             derived.resolve(Outcome.normal(result))
-
-    @staticmethod
-    def _unwrap(outcome: Outcome) -> Any:
-        """Claim-value view of a normal outcome (0 → None, 1 → value, n → tuple)."""
-        results = outcome.results
-        if len(results) == 0:
-            return None
-        if len(results) == 1:
-            return results[0]
-        return results
 
     # ------------------------------------------------------------------
     # Gathers (vat-dispatched)
@@ -537,23 +470,23 @@ class Promise:
         state = {"remaining": count, "done": False}
 
         def arm(index: int) -> Callable[[Outcome], None]:
-            def on_ready(outcome: Outcome) -> None:
+            def on_outcome(outcome: Outcome) -> None:
                 if state["done"]:
                     return
                 if not outcome.is_normal:
                     state["done"] = True
                     gathered.resolve(outcome)
                     return
-                values[index] = Promise._unwrap(outcome)
+                values[index] = outcome.apply()
                 state["remaining"] -= 1
                 if state["remaining"] == 0:
                     state["done"] = True
                     gathered.resolve(Outcome.normal(values))
 
-            return on_ready
+            return on_outcome
 
         for index, promise in enumerate(inputs):
-            promise._subscribe(arm(index))
+            promise.on_resolved(arm(index))
         return gathered
 
     @staticmethod
@@ -571,7 +504,7 @@ class Promise:
             return gathered
         state = {"remaining": len(inputs), "done": False, "broken": None}
 
-        def on_ready(outcome: Outcome) -> None:
+        def on_outcome(outcome: Outcome) -> None:
             if state["done"]:
                 return
             if outcome.is_normal:
@@ -586,7 +519,7 @@ class Promise:
                 gathered.resolve(state["broken"])
 
         for promise in inputs:
-            promise._subscribe(on_ready)
+            promise.on_resolved(on_outcome)
         return gathered
 
     @staticmethod
@@ -604,24 +537,11 @@ class Promise:
             return gathered
         state = {"done": False}
 
-        def on_ready(outcome: Outcome) -> None:
+        def on_outcome(outcome: Outcome) -> None:
             if not state["done"]:
                 state["done"] = True
                 gathered.resolve(outcome)
 
         for promise in inputs:
-            promise._subscribe(on_ready)
+            promise.on_resolved(on_outcome)
         return gathered
-
-
-class _OutcomeWaiter:
-    """Tags a waiter event as wanting the raw outcome (no raising)."""
-
-    __slots__ = ("event",)
-
-    def __init__(self, event: Event) -> None:
-        self.event = event
-
-    @property
-    def triggered(self) -> bool:
-        return self.event.triggered

@@ -263,6 +263,7 @@ class HandlerType(Type):
                 )
             sig_map[sname] = _type_tuple(stypes, "signal %r arguments" % sname)
         self.signals: Dict[str, Tuple[Type, ...]] = sig_map
+        self._promise_type: Optional[PromiseType] = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -302,8 +303,15 @@ class HandlerType(Type):
         return bool(self.returns)
 
     def promise_type(self) -> "PromiseType":
-        """Derive the related promise type (paper §3: ``ht`` → ``pt``)."""
-        return PromiseType(returns=self.returns, signals=self.signals)
+        """Derive the related promise type (paper §3: ``ht`` → ``pt``).
+
+        Derived once and shared: a handler type is never mutated after
+        construction, and promise types compare structurally.
+        """
+        ptype = self._promise_type
+        if ptype is None:
+            ptype = self._promise_type = PromiseType(returns=self.returns, signals=self.signals)
+        return ptype
 
     def declares_signal(self, name: str) -> bool:
         """Whether *name* is a declared or implicit exception here."""

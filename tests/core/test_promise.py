@@ -1,7 +1,11 @@
 """Unit tests for the promise data type (paper §3)."""
 
+import sys
+import tracemalloc
+
 import pytest
 
+from repro.concurrency.vat import Vat
 from repro.core import (
     BLOCKED,
     READY,
@@ -13,6 +17,7 @@ from repro.core import (
     Signal,
     Unavailable,
 )
+from repro.sim.kernel import NORMAL
 from repro.types import CHAR, INT, REAL, HandlerType, PromiseType
 
 
@@ -183,26 +188,76 @@ def test_ptype_must_be_promise_type(env):
         Promise(env, ptype=HandlerType(args=[INT]))
 
 
-def test_on_ready_callback_runs_immediately_if_ready(env):
+def test_resolve_wakes_waiters_in_registration_order(env):
+    """Claims and continuations wait in one list: resolve() wakes them in
+    the order they registered — a blocked claim is scheduled on the
+    calendar, a continuation is enqueued on the vat."""
     promise = Promise(env)
-    promise.resolve_normal(1)
-    seen = []
-    promise.on_ready(lambda p: seen.append(p.outcome().apply()))
-    assert seen == [1]
+    woken, claims, ran = [], [], []
 
+    class RecordingVat(Vat):
+        def do_soon(self, fn, arg=None, span=None):
+            woken.append(fn.__name__)
+            super().do_soon(fn, arg, span)
 
-def test_on_ready_callback_runs_at_resolution(env):
-    promise = Promise(env)
-    seen = []
-    promise.on_ready(lambda p: seen.append(p.outcome().apply()))
+    env.vat = RecordingVat(env)
+    schedule = env.schedule
 
-    def resolver(env):
-        yield env.timeout(1.0)
-        promise.resolve_normal(2)
+    def recording_schedule(event, delay=0.0, priority=NORMAL):
+        if any(event is claim for claim in claims):
+            woken.append("claim")
+        schedule(event, delay, priority)
 
-    env.process(resolver(env))
+    env.schedule = recording_schedule
+
+    def first(outcome):
+        ran.append(("first", outcome.apply()))
+
+    def second(outcome):
+        ran.append(("second", outcome.apply()))
+
+    def claimer():
+        claims.append(promise.claim())
+        ran.append(("claim", (yield claims[0])))
+
+    promise.on_resolved(first)
+    env.process(claimer())
     env.run()
-    assert seen == [2]
+    promise.on_resolved(second)
+    promise.resolve_normal(4)
+    assert woken == ["first", "claim", "second"]
+    env.run()
+    # The second continuation rides the vat turn the first one opened.
+    assert ran == [("first", 4), ("second", 4), ("claim", 4)]
+
+
+def test_ready_claim_resumes_before_a_later_call_soon(env):
+    """A claim on a ready promise is scheduled at the claim itself, so it
+    resumes ahead of anything the claimer schedules after it."""
+    promise = Promise.make_fulfilled(env, 3)
+    log = []
+
+    def claimer():
+        event = promise.claim()
+        env.call_soon(log.append, "call_soon")
+        log.append(("claimed", (yield event)))
+
+    env.process(claimer())
+    env.run()
+    assert log == [("claimed", 3), "call_soon"]
+
+
+def test_bare_pending_promise_costs_at_most_150_bytes(env):
+    count = 10_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        promises = [Promise(env) for _ in range(count)]
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    per_promise = (after - before - sys.getsizeof(promises)) / count
+    assert per_promise <= 150, "%.1f B per bare pending promise" % per_promise
 
 
 def test_multiple_claimers_all_resolved(env):

@@ -12,7 +12,6 @@ import pytest
 
 from repro.encoding.errors import DecodeError
 from repro.streams.frames import (
-    FRAME_CALL,
     MAX_FRAME_BYTES,
     FrameAssembler,
     Hello,

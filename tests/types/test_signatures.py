@@ -79,6 +79,8 @@ def test_promise_type_derivation():
     assert pt == PromiseType(returns=[REAL], signals={"foo": [CHAR]})
     assert pt.returns == (REAL,)
     assert pt.signals == {"foo": (CHAR,)}
+    # Derived once per handler type: every stream call shares it.
+    assert ht.promise_type() is pt
 
 
 def test_implicit_signals_cannot_be_declared():
