@@ -17,7 +17,7 @@ Entry points::
 See DESIGN.md §10 for the architecture and the oracle catalogue.
 """
 
-from repro.chaos.engine import CampaignResult, RunResult, run_campaign, run_one
+from repro.chaos.engine import RunResult, run_one
 from repro.chaos.oracles import run_oracles
 from repro.chaos.schedule import INTENSITIES, ChaosSchedule, FaultOp
 from repro.chaos.seeds import (
@@ -31,7 +31,6 @@ from repro.chaos.shrink import ShrinkReport, shrink_schedule
 from repro.chaos.workloads import WORKLOADS, Workload, create_workload
 
 __all__ = [
-    "CampaignResult",
     "ChaosSchedule",
     "FaultOp",
     "INTENSITIES",
@@ -43,7 +42,6 @@ __all__ = [
     "create_workload",
     "load_seed",
     "replay_seed",
-    "run_campaign",
     "run_one",
     "run_oracles",
     "save_seed",

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.chaos.schedule import ChaosSchedule
-from repro.chaos.workloads import CHAOS_STREAM_CONFIG, create_workload
+from repro.chaos.workloads import CHAOS_NETWORK, CHAOS_STREAM_CONFIG, create_workload
 from repro.entities.system import ArgusSystem
 from repro.obs.monitor import MonitorSuite
 
-__all__ = ["RunResult", "run_one", "run_campaign", "CampaignResult"]
+__all__ = ["RunResult", "run_one"]
 
 #: Simulated-time slack past the workload horizon before liveness gives up:
 #: generous enough for worst-case retransmission ladders, reincarnations
@@ -79,22 +79,6 @@ class RunResult:
     def verdict(self) -> str:
         return "fail" if self.failed else "pass"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "seed": self.seed,
-            "intensity": self.intensity,
-            "schedule": self.schedule.to_dict(),
-            "outcomes": [list(outcome) for outcome in self.outcomes],
-            "problems": list(self.problems),
-            "violations": list(self.violations),
-            "driver_finished": self.driver_finished,
-            "sim_time": round(self.sim_time, 6),
-            "event_count": self.event_count,
-            "verdict": self.verdict,
-            "digest": self.digest(),
-        }
-
     def digest(self) -> str:
         """A canonical sha256 over everything observable about the run."""
         payload = {
@@ -137,12 +121,11 @@ def run_one(
     so CI can attach the evidence).
     """
     workload = create_workload(workload_name)
-    params = workload.network_params()
     system = ArgusSystem(
         seed=seed,
         tracing=True,
         stream_config=CHAOS_STREAM_CONFIG,
-        **params
+        **CHAOS_NETWORK
     )
     suite = MonitorSuite.install(system.tracer, strict=False)
     workload.build(system)
@@ -207,49 +190,3 @@ def run_one(
         event_count=len(system.tracer.events),
     )
 
-
-class CampaignResult:
-    """Aggregate of a seed-range campaign over one or more workloads."""
-
-    def __init__(self) -> None:
-        self.runs: List[RunResult] = []
-
-    def add(self, result: RunResult) -> None:
-        self.runs.append(result)
-
-    @property
-    def failures(self) -> List[RunResult]:
-        return [run for run in self.runs if run.failed]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> Dict[str, Any]:
-        by_workload: Dict[str, Dict[str, int]] = {}
-        for run in self.runs:
-            bucket = by_workload.setdefault(run.workload, {"pass": 0, "fail": 0})
-            bucket[run.verdict] += 1
-        return {
-            "runs": len(self.runs),
-            "failures": len(self.failures),
-            "by_workload": by_workload,
-        }
-
-
-def run_campaign(
-    workloads: List[str],
-    seeds: List[int],
-    intensity: str = "default",
-    progress: Optional[Any] = None,
-) -> CampaignResult:
-    """Run every (workload, seed) pair; *progress* (if given) is called
-    with each :class:`RunResult` as it lands."""
-    campaign = CampaignResult()
-    for workload_name in workloads:
-        for seed in seeds:
-            result = run_one(workload_name, seed, intensity=intensity)
-            campaign.add(result)
-            if progress is not None:
-                progress(result)
-    return campaign

@@ -12,8 +12,9 @@ asserts the engine still reproduces that exact observable behaviour:
   transport change breaks an invariant under that schedule, or merely
   changes observable behaviour (digest drift), replay flags it.
 
-Files live under ``tests/chaos/seeds/`` and are replayed by the tier-1 CI
-matrix on every push (``python -m repro.chaos replay tests/chaos/seeds``).
+Files live under ``tests/chaos/seeds/`` and are replayed by the tier-1
+suite on every push (``tests/chaos/test_replay_corpus.py``); replay them by
+hand with ``python -m repro.chaos replay tests/chaos/seeds``.
 """
 
 from __future__ import annotations

@@ -26,19 +26,22 @@ The roster mirrors the repository's three examples plus one new workload:
   graph engine: adds travel as cross-shard routine chains, Zipf-skewed
   multi-key reads join at collectors, and the driver waits with a bounded
   settle instead of claiming (unready promises are abandoned to
-  ``unavailable``, never stranded).
+  ``unavailable``, never stranded);
+* ``echo_vat`` / ``kv_vat`` — the echo and kv drivers as they are, but
+  recording through promise continuations instead of blocking claims.
 
 Every driver records outcomes as ``(key, tag, value)`` triples where *tag*
 is ``"ok"`` or the Argus condition name (``unavailable``, ``failure``, a
-signal name, ``exception_reply``).  Drivers always run to completion; they
-never let an exception escape, so liveness is assertable.
+signal name, ``exception_reply``), through the workload's :attr:`recorder`
+(:class:`Claims` or :class:`Continuations`).  Drivers always run to
+completion; they never let an exception escape, so liveness is assertable.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.exceptions import ArgusError
+from repro.core.exceptions import ArgusError, Signal
 from repro.core.promise import Promise
 from repro.entities.system import ArgusSystem
 from repro.graph import GraphBuilder, GraphRuntime, register_routine
@@ -73,24 +76,94 @@ CHAOS_STREAM_CONFIG = StreamConfig(
     max_inflight_calls=32,
 )
 
+#: Network model parameters of every campaign world.
+CHAOS_NETWORK: Dict[str, float] = {"latency": 1.0, "kernel_overhead": 0.1, "jitter": 0.5}
 
-def _claim(promise):
-    """``tag, value = yield from _claim(p)`` — claim, mapping exceptions to
-    their condition names."""
+
+def _tag(outcome) -> Tuple[str, Any]:
+    """``(tag, value)`` of a resolved call outcome: ``("ok", value)`` with
+    the claim value, or the exception's condition name and None."""
     try:
-        value = yield promise.claim()
+        return ("ok", outcome.apply())
     except ArgusError as exc:
         return (exc.condition, None)
-    return ("ok", value)
 
 
 def _await(event):
-    """Like :func:`_claim` for a plain yieldable event (RPC, synch)."""
+    """``tag, value = yield from _await(event)`` — the :func:`_tag` pair of
+    any yieldable that delivers a value or raises (claim, RPC, synch)."""
     try:
         value = yield event
     except ArgusError as exc:
         return (exc.condition, None)
     return ("ok", value)
+
+
+def _flush(handle) -> None:
+    """Flush *handle*'s stream; a break mid-batch still resolves every
+    promise already made, so the claims report it."""
+    try:
+        handle.flush()
+    except ArgusError:
+        pass
+
+
+class Claims:
+    """The blocking recorder: each :meth:`claim` waits for its promise.
+
+    A driver records its ``(key, tag, value)`` outcomes into
+    :attr:`outcomes` through ``call``, ``claim`` and ``settle``; the two
+    recorders differ only in when the driver waits.
+    """
+
+    def __init__(self, ctx) -> None:
+        self.ctx = ctx
+        self.outcomes: List[Outcome] = []
+
+    def call(self, key: str, handle, *args) -> Optional[Promise]:
+        """Stream ``handle(*args)``; a refused call is recorded under
+        *key* at once and returns None."""
+        try:
+            return handle.stream(*args)
+        except ArgusError as exc:
+            self.outcomes.append((key, exc.condition, None))
+            return None
+
+    def claim(self, key: str, promise: Optional[Promise]):
+        """``yield from claim(key, p)``: record *p*'s outcome under *key*
+        (None, a refused call, is skipped)."""
+        if promise is not None:
+            tag, value = yield from _await(promise.claim())
+            self.outcomes.append((key, tag, value))
+
+    def settle(self):
+        """``yield from settle()``: wait until every claimed outcome is
+        recorded (claims record as they go, so nothing to wait for)."""
+        return ()
+
+
+class Continuations(Claims):
+    """The vat recorder: :meth:`claim` registers a recording continuation
+    and returns at once; :meth:`settle` claims one ``Promise.all`` over
+    the continuations registered since the last settle.
+
+    Outcome *order* is therefore resolution order, not call order.
+    """
+
+    def __init__(self, ctx) -> None:
+        super().__init__(ctx)
+        self._recording: List[Promise] = []
+
+    def claim(self, key: str, promise: Optional[Promise]):
+        if promise is not None:
+            self._recording.append(promise.when_resolved(
+                lambda outcome: self.outcomes.append((key,) + _tag(outcome))
+            ))
+        return ()
+
+    def settle(self):
+        recording, self._recording = self._recording, []
+        yield Promise.all(self.ctx.env, recording).claim()
 
 
 class Workload:
@@ -105,10 +178,8 @@ class Workload:
     allowed_signals: Tuple[str, ...] = ()
     #: The guardian whose node must never crash (it drives the run).
     client = "client"
-
-    def network_params(self) -> Dict[str, float]:
-        """Network model parameters for this workload's world."""
-        return {"latency": 1.0, "kernel_overhead": 0.1, "jitter": 0.5}
+    #: How the driver waits for and records its calls' outcomes.
+    recorder = Claims
 
     # -- to implement ---------------------------------------------------
     def build(self, system: ArgusSystem) -> None:
@@ -159,10 +230,53 @@ class Workload:
 
 
 # ----------------------------------------------------------------------
-# echo — batched stream calls against one server
+# server handlers — one set, shared by the worlds below
 # ----------------------------------------------------------------------
 
-_ECHO = HandlerType(args=[INT], returns=[INT])
+_INT_TO_INT = HandlerType(args=[INT], returns=[INT])
+_PUT = HandlerType(args=[STRING, INT])  # no results: travels as a send
+_GET = HandlerType(args=[STRING], returns=[INT], signals={"missing": []})
+_ADD = HandlerType(args=[STRING, INT], returns=[INT])
+
+
+def _echo(ctx, x):
+    yield ctx.compute(0.05)
+    return x
+
+
+def _double(ctx, x):
+    yield ctx.compute(0.05)
+    return 2 * x
+
+
+def _record(ctx, x):
+    doubled = yield ctx.lookup("db", "double").call(x)
+    return doubled + 1
+
+
+def _put(ctx, key, value):
+    yield ctx.compute(0.02)
+    ctx.guardian.state["data"][key] = value
+
+
+def _get(ctx, key):
+    yield ctx.compute(0.02)
+    data = ctx.guardian.state["data"]
+    if key not in data:
+        raise Signal("missing")
+    return data[key]
+
+
+def _add(ctx, key, delta):
+    yield ctx.compute(0.02)
+    data = ctx.guardian.state["data"]
+    data[key] = data.get(key, 0) + delta
+    return data[key]
+
+
+# ----------------------------------------------------------------------
+# echo — batched stream calls against one server
+# ----------------------------------------------------------------------
 
 
 class EchoWorkload(Workload):
@@ -172,15 +286,7 @@ class EchoWorkload(Workload):
     batch = 3
 
     def build(self, system: ArgusSystem) -> None:
-        server = system.create_guardian("server")
-        server.state["executed"] = []
-
-        def echo(ctx, x):
-            ctx.guardian.state["executed"].append(x)
-            yield ctx.compute(0.05)
-            return x
-
-        server.create_handler("echo", _ECHO, echo)
+        system.create_guardian("server").create_handler("echo", _INT_TO_INT, _echo)
         system.create_guardian(self.client)
 
     def expected(self) -> Dict[str, Any]:
@@ -190,34 +296,25 @@ class EchoWorkload(Workload):
 
     def driver(self, ctx):
         echo = ctx.lookup("server", "echo")
-        outcomes: List[Outcome] = []
+        record = self.recorder(ctx)
         index = 0
         for _ in range(self.n_batches):
             yield ctx.sleep(2.0)
             batch = []
             for _ in range(self.batch):
                 key = "call%02d" % index
-                try:
-                    batch.append((key, echo.stream(index)))
-                except ArgusError as exc:
-                    outcomes.append((key, exc.condition, None))
+                batch.append((key, record.call(key, echo, index)))
                 index += 1
-            try:
-                echo.flush()
-            except ArgusError:
-                pass  # broken mid-batch: the claims below still resolve
+            _flush(echo)
             for key, promise in batch:
-                tag, value = yield from _claim(promise)
-                outcomes.append((key, tag, value))
-        return outcomes
+                yield from record.claim(key, promise)
+        yield from record.settle()
+        return record.outcomes
 
 
 # ----------------------------------------------------------------------
 # pipeline — nested calls: client -> mid -> db
 # ----------------------------------------------------------------------
-
-_DOUBLE = HandlerType(args=[INT], returns=[INT])
-_RECORD = HandlerType(args=[INT], returns=[INT])
 
 
 class PipelineWorkload(Workload):
@@ -226,51 +323,30 @@ class PipelineWorkload(Workload):
     n_calls = 10
 
     def build(self, system: ArgusSystem) -> None:
-        db = system.create_guardian("db")
-
-        def double(ctx, x):
-            yield ctx.compute(0.05)
-            return 2 * x
-
-        db.create_handler("double", _DOUBLE, double)
-        mid = system.create_guardian("mid")
-
-        def record(ctx, x):
-            doubled = yield ctx.lookup("db", "double").call(x)
-            return doubled + 1
-
-        mid.create_handler("record", _RECORD, record)
+        system.create_guardian("db").create_handler("double", _INT_TO_INT, _double)
+        system.create_guardian("mid").create_handler("record", _INT_TO_INT, _record)
         system.create_guardian(self.client)
 
     def expected(self) -> Dict[str, Any]:
         return {"record%02d" % i: 2 * i + 1 for i in range(self.n_calls)}
 
     def driver(self, ctx):
-        record = ctx.lookup("mid", "record")
-        outcomes: List[Outcome] = []
+        mid = ctx.lookup("mid", "record")
+        record = self.recorder(ctx)
         for i in range(self.n_calls):
             yield ctx.sleep(3.0)
             key = "record%02d" % i
-            try:
-                promise = record.stream(i)
-            except ArgusError as exc:
-                outcomes.append((key, exc.condition, None))
-                continue
-            try:
-                record.flush()
-            except ArgusError:
-                pass
-            tag, value = yield from _claim(promise)
-            outcomes.append((key, tag, value))
-        return outcomes
+            promise = record.call(key, mid, i)
+            if promise is not None:
+                _flush(mid)
+                yield from record.claim(key, promise)
+        yield from record.settle()
+        return record.outcomes
 
 
 # ----------------------------------------------------------------------
 # bulkload — send-heavy: puts as sends, flush + synch, verification gets
 # ----------------------------------------------------------------------
-
-_PUT = HandlerType(args=[STRING, INT])  # no results: travels as a send
-_GET = HandlerType(args=[STRING], returns=[INT], signals={"missing": []})
 
 
 class BulkloadWorkload(Workload):
@@ -288,23 +364,8 @@ class BulkloadWorkload(Workload):
         for shard in self.shards:
             guardian = system.create_guardian(shard)
             guardian.state["data"] = {}
-
-            def put(ctx, key, value):
-                yield ctx.compute(0.02)
-                ctx.guardian.state["data"][key] = value
-                return None
-
-            def get(ctx, key):
-                yield ctx.compute(0.02)
-                data = ctx.guardian.state["data"]
-                if key not in data:
-                    from repro.core.exceptions import Signal
-
-                    raise Signal("missing")
-                return data[key]
-
-            guardian.create_handler("put", _PUT, put)
-            guardian.create_handler("get", _GET, get)
+            guardian.create_handler("put", _PUT, _put)
+            guardian.create_handler("get", _GET, _get)
         system.create_guardian(self.client)
 
     def expected(self) -> Dict[str, Any]:
@@ -315,7 +376,7 @@ class BulkloadWorkload(Workload):
         return report
 
     def driver(self, ctx):
-        outcomes: List[Outcome] = []
+        record = self.recorder(ctx)
         for shard in self.shards:
             put = ctx.lookup(shard, "put")
             refused = 0
@@ -324,32 +385,23 @@ class BulkloadWorkload(Workload):
                     put.send("key%d" % i, self._value(shard, i))
                 except ArgusError:
                     refused += 1
-            try:
-                put.flush()
-            except ArgusError:
-                pass
+            _flush(put)
             if refused:
-                outcomes.append(("put:%s" % shard, "unavailable", None))
+                record.outcomes.append(("put:%s" % shard, "unavailable", None))
             tag, _ = yield from _await(put.synch())
-            outcomes.append(("synch:%s" % shard, tag, None))
+            record.outcomes.append(("synch:%s" % shard, tag, None))
             yield ctx.sleep(2.0)
         yield ctx.sleep(4.0)
         for shard in self.shards:
             get = ctx.lookup(shard, "get")
             for i in range(self.keys_per_shard):
                 key = "get:%s:key%d" % (shard, i)
-                try:
-                    promise = get.stream("key%d" % i)
-                except ArgusError as exc:
-                    outcomes.append((key, exc.condition, None))
-                    continue
-                try:
-                    get.flush()
-                except ArgusError:
-                    pass
-                tag, value = yield from _claim(promise)
-                outcomes.append((key, tag, value))
-        return outcomes
+                promise = record.call(key, get, "key%d" % i)
+                if promise is not None:
+                    _flush(get)
+                    yield from record.claim(key, promise)
+        yield from record.settle()
+        return record.outcomes
 
     def check_outcomes(self, outcomes: List[Outcome]) -> List[str]:
         problems = super().check_outcomes(outcomes)
@@ -382,9 +434,6 @@ class BulkloadWorkload(Workload):
 # kv — NEW: multi-guardian sharded store with a base-4 execution ledger
 # ----------------------------------------------------------------------
 
-_ADD = HandlerType(args=[STRING, INT], returns=[INT])
-_GETV = HandlerType(args=[STRING], returns=[INT], signals={"missing": []})
-
 
 class KvWorkload(Workload):
     """Sharded adds with per-call ledger deltas of ``4**j``.
@@ -408,24 +457,8 @@ class KvWorkload(Workload):
         for s in range(self.n_shards):
             guardian = system.create_guardian("shard%d" % s)
             guardian.state["data"] = {}
-
-            def add(ctx, key, delta):
-                yield ctx.compute(0.02)
-                data = ctx.guardian.state["data"]
-                data[key] = data.get(key, 0) + delta
-                return data[key]
-
-            def get(ctx, key):
-                yield ctx.compute(0.02)
-                data = ctx.guardian.state["data"]
-                if key not in data:
-                    from repro.core.exceptions import Signal
-
-                    raise Signal("missing")
-                return data[key]
-
-            guardian.create_handler("add", _ADD, add)
-            guardian.create_handler("get", _GETV, get)
+            guardian.create_handler("add", _ADD, _add)
+            guardian.create_handler("get", _GET, _get)
         system.create_guardian(self.client)
 
     def expected(self) -> Dict[str, Any]:
@@ -433,7 +466,7 @@ class KvWorkload(Workload):
         return {"get:key%d" % k: full for k in range(self.n_keys)}
 
     def driver(self, ctx):
-        outcomes: List[Outcome] = []
+        record = self.recorder(ctx)
         handles = {
             "shard%d" % s: ctx.lookup("shard%d" % s, "add")
             for s in range(self.n_shards)
@@ -449,34 +482,23 @@ class KvWorkload(Workload):
             for k in keys:
                 key = "add:key%d:r%d" % (k, j)
                 handle = handles[self.shard_of(k)]
-                try:
-                    batch.append((key, handle.stream("key%d" % k, 4 ** j)))
-                except ArgusError as exc:
-                    outcomes.append((key, exc.condition, None))
+                batch.append((key, record.call(key, handle, "key%d" % k, 4 ** j)))
             for handle in handles.values():
-                try:
-                    handle.flush()
-                except ArgusError:
-                    pass
+                _flush(handle)
             for key, promise in batch:
-                tag, value = yield from _claim(promise)
-                outcomes.append((key, tag, value))
+                yield from record.claim(key, promise)
+        # Every add settles (success or break) before the reads.
+        yield from record.settle()
         yield ctx.sleep(5.0)
         for k in range(self.n_keys):
             key = "get:key%d" % k
             get = ctx.lookup(self.shard_of(k), "get")
-            try:
-                promise = get.stream("key%d" % k)
-            except ArgusError as exc:
-                outcomes.append((key, exc.condition, None))
-                continue
-            try:
-                get.flush()
-            except ArgusError:
-                pass
-            tag, value = yield from _claim(promise)
-            outcomes.append((key, tag, value))
-        return outcomes
+            promise = record.call(key, get, "key%d" % k)
+            if promise is not None:
+                _flush(get)
+                yield from record.claim(key, promise)
+        yield from record.settle()
+        return record.outcomes
 
     # -- the ledger oracle ----------------------------------------------
     def _digits(self, value: int) -> List[int]:
@@ -645,13 +667,7 @@ class KvGraphWorkload(KvWorkload):
         """Record each (key, promise): resolved value, or give it up."""
         for key, promise in pending:
             if promise.ready():
-                outcome = promise.outcome()
-                if outcome.is_normal:
-                    results = outcome.results
-                    value = results[0] if len(results) == 1 else list(results)
-                    outcomes.append((key, "ok", value))
-                else:
-                    outcomes.append((key, outcome.exception.condition, None))
+                outcomes.append((key,) + _tag(promise.outcome()))
             else:
                 outcomes.append((key, "unavailable", None))
         self._runtime.abandon()
@@ -719,70 +735,25 @@ class KvGraphWorkload(KvWorkload):
 
 
 # ----------------------------------------------------------------------
-# vat variants — the same worlds driven by promise continuations (PR 6)
+# vat variants — the same drivers, recording through continuations
 # ----------------------------------------------------------------------
-# Outcomes are recorded inside when_resolved callbacks instead of blocking
-# claims, so the driver process never waits per call; it only claims one
-# final Promise.all gather over the recording continuations.  Outcome
-# *order* is therefore resolution order, not call order — deterministic
-# for a given seed, but digests are not comparable with the blocking
-# variants (each vat workload grows its own seed corpus).
-
-
-def _record_into(outcomes: List[Outcome], key: str):
-    """A ``when_resolved`` callback appending ``(key, tag, value)``."""
-
-    def record(outcome) -> None:
-        if outcome.is_normal:
-            results = outcome.results
-            if len(results) == 0:
-                value = None
-            elif len(results) == 1:
-                value = results[0]
-            else:
-                value = results
-            outcomes.append((key, "ok", value))
-        else:
-            outcomes.append((key, outcome.exception.condition, None))
-
-    return record
+# With the Continuations recorder a driver never waits per call: outcomes
+# are recorded inside when_resolved callbacks, and each settle() claims one
+# Promise.all over them.  Outcome *order* is therefore resolution order,
+# not call order — deterministic for a given seed, but digests are not
+# comparable with the blocking variants, so each vat workload has its own
+# seed corpus entries.
 
 
 class EchoVatWorkload(EchoWorkload):
     """The echo world with continuation-recorded outcomes."""
 
     name = "echo_vat"
-
-    def driver(self, ctx):
-        echo = ctx.lookup("server", "echo")
-        outcomes: List[Outcome] = []
-        recorded: List[Promise] = []
-        index = 0
-        for _ in range(self.n_batches):
-            yield ctx.sleep(2.0)
-            for _ in range(self.batch):
-                key = "call%02d" % index
-                try:
-                    promise = echo.stream(index)
-                except ArgusError as exc:
-                    outcomes.append((key, exc.condition, None))
-                else:
-                    recorded.append(
-                        promise.when_resolved(_record_into(outcomes, key))
-                    )
-                index += 1
-            try:
-                echo.flush()
-            except ArgusError:
-                pass
-        # One blocking claim for the whole run: the gather over the
-        # recording continuations (each fulfils after appending).
-        yield Promise.all(ctx.env, recorded).claim()
-        return outcomes
+    recorder = Continuations
 
 
 class KvVatWorkload(KvWorkload):
-    """The kv world with continuation-recorded adds (no round barrier).
+    """The kv world with continuation-recorded outcomes (no round barrier).
 
     Add rounds are issued on the same sleep cadence as :class:`KvWorkload`
     but nothing blocks between rounds — round *j+1*'s calls can be in
@@ -793,54 +764,7 @@ class KvVatWorkload(KvWorkload):
     """
 
     name = "kv_vat"
-
-    def driver(self, ctx):
-        outcomes: List[Outcome] = []
-        recorded: List[Promise] = []
-        handles = {
-            "shard%d" % s: ctx.lookup("shard%d" % s, "add")
-            for s in range(self.n_shards)
-        }
-        order_rng = ctx.system.rng.stream("workload.kv")
-        for j in range(self.rounds):
-            yield ctx.sleep(2.5)
-            keys = list(range(self.n_keys))
-            order_rng.shuffle(keys)
-            for k in keys:
-                key = "add:key%d:r%d" % (k, j)
-                handle = handles[self.shard_of(k)]
-                try:
-                    promise = handle.stream("key%d" % k, 4 ** j)
-                except ArgusError as exc:
-                    outcomes.append((key, exc.condition, None))
-                else:
-                    recorded.append(
-                        promise.when_resolved(_record_into(outcomes, key))
-                    )
-            for handle in handles.values():
-                try:
-                    handle.flush()
-                except ArgusError:
-                    pass
-        # Wait for every add to settle (success or break), then read.
-        yield Promise.all(ctx.env, recorded).claim()
-        yield ctx.sleep(5.0)
-        reads: List[Promise] = []
-        for k in range(self.n_keys):
-            key = "get:key%d" % k
-            get = ctx.lookup(self.shard_of(k), "get")
-            try:
-                promise = get.stream("key%d" % k)
-            except ArgusError as exc:
-                outcomes.append((key, exc.condition, None))
-                continue
-            try:
-                get.flush()
-            except ArgusError:
-                pass
-            reads.append(promise.when_resolved(_record_into(outcomes, key)))
-        yield Promise.all(ctx.env, reads).claim()
-        return outcomes
+    recorder = Continuations
 
 
 WORKLOADS: Dict[str, Any] = {

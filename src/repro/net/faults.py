@@ -10,25 +10,27 @@ Two layers of fault model live here:
 
 * **scheduled faults** (:func:`schedule_crash`, :func:`schedule_partition`,
   :class:`FaultPlan`): timed node crashes/recoveries and partition/heal
-  windows, installed as simulation processes;
+  windows, installed as simulation processes.  A plan is written, never
+  drawn: random schedules come from
+  :meth:`repro.chaos.schedule.ChaosSchedule.generate`, applied as a plan;
 * **link-level chaos** (:class:`LinkFaultProfile`,
   :class:`LinkFaultInjector`): per-message drop / delay / duplication /
   reordering applied inside :meth:`Network.send`, the adversarial traffic
   the transport's acknowledgement + retransmission + dedup machinery must
   absorb while preserving exactly-once FIFO delivery.
 
-All randomness is routed through :mod:`repro.sim.rng` named streams (pass
-an :class:`~repro.sim.rng.RngRegistry`), so fault draws never perturb
+The only draws made here are the link injector's, from the one
+``random.Random`` it is given (campaigns pass a dedicated
+:mod:`repro.sim.rng` named stream), so fault draws never perturb
 workload or jitter draws and campaigns replay bit-identically from a seed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.network import Network
-from repro.sim.rng import RngRegistry
 
 __all__ = [
     "FaultPlan",
@@ -144,50 +146,6 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self._crashes) + len(self._partitions)
-
-    @classmethod
-    def random(
-        cls,
-        rng: Union[random.Random, RngRegistry],
-        nodes: Sequence[str],
-        horizon: float,
-        max_faults: int = 4,
-        crashable: Optional[Sequence[str]] = None,
-        min_outage: float = 1.0,
-        max_outage: float = 15.0,
-    ) -> "FaultPlan":
-        """A seeded random schedule of crashes and partitions.
-
-        Used by the property-style stress tests and the chaos engine: all
-        draws come from one dedicated random stream, so identical seeds
-        regenerate identical plans on every platform and generating a plan
-        never perturbs any other stream's draws.  Pass an
-        :class:`~repro.sim.rng.RngRegistry` to draw from its
-        ``"faults.plan"`` stream (preferred), or a pre-seeded
-        ``random.Random`` to use directly.
-
-        *crashable* restricts which nodes may crash (e.g. keep the driving
-        client alive so liveness stays assertable); partitions may involve
-        any pair from *nodes*.  Every fault gets a recovery/heal time, with
-        a 25% chance of staying down past the horizon instead — breaks
-        must map to ``unavailable``/``failure`` either way.
-        """
-        if len(nodes) < 2:
-            raise ValueError("need at least two nodes to build a fault plan")
-        if isinstance(rng, RngRegistry):
-            rng = rng.stream("faults.plan")
-        plan = cls()
-        crash_pool = list(crashable if crashable is not None else nodes)
-        for _ in range(rng.randint(0, max_faults)):
-            at = rng.uniform(0.5, horizon)
-            outage = rng.uniform(min_outage, max_outage)
-            until = None if rng.random() < 0.25 else at + outage
-            if crash_pool and rng.random() < 0.5:
-                plan.crash(rng.choice(crash_pool), at=at, recover_at=until)
-            else:
-                a, b = rng.sample(list(nodes), 2)
-                plan.partition(a, b, at=at, heal_at=until)
-        return plan
 
 
 # ----------------------------------------------------------------------

@@ -216,11 +216,9 @@ class MonitorSuite:
     immediately at the emit site; either way every violation is appended
     to :attr:`violations` for end-of-run assertions.
 
-    The suite starts with :data:`DEFAULT_MONITORS` (pass ``monitors=`` to
-    override the roster) and further oracles can be plugged in with
-    :meth:`register` — the chaos engine (:mod:`repro.chaos`) uses this to
-    run campaign-specific end-to-end oracles alongside the transport
-    invariants.
+    The roster is :data:`DEFAULT_MONITORS` unless ``monitors=`` names
+    another.  The chaos engine (:mod:`repro.chaos`) installs the default
+    roster non-strict and runs its end-to-end oracles after the run.
     """
 
     def __init__(
@@ -243,17 +241,6 @@ class MonitorSuite:
         suite = cls(strict=strict, monitors=monitors)
         tracer.monitors = suite
         return suite
-
-    def register(self, factory: Any) -> Monitor:
-        """Instantiate *factory* (a :class:`Monitor` subclass or any
-        ``suite -> Monitor`` callable) and add it to the roster.
-
-        The new monitor observes every event emitted from now on; returns
-        the instance so callers can inspect its state afterwards.
-        """
-        monitor = factory(self)
-        self.monitors.append(monitor)
-        return monitor
 
     def observe(self, etype: str, time: float, fields: Dict[str, Any]) -> None:
         """Called by :meth:`Tracer.emit` for every event."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos.engine import run_campaign, run_one
+from repro.chaos.engine import run_one
 from repro.chaos.schedule import ChaosSchedule, FaultOp
 from repro.chaos.workloads import WORKLOADS, KvWorkload, create_workload
 
@@ -123,13 +123,6 @@ def test_kv_ledger_oracle_decodes_duplicates():
     # An ok add whose bit is missing is a lost write.
     problems = workload.check_outcomes([("add:key0:r0", "ok", 1), ("get:key0", "ok", 4)])
     assert any("lost add" in problem for problem in problems)
-
-
-def test_campaign_aggregates_and_reports():
-    campaign = run_campaign(["echo"], seeds=[0, 1, 2], intensity="light")
-    assert campaign.summary()["runs"] == 3
-    assert campaign.passed
-    assert campaign.summary()["by_workload"]["echo"]["pass"] == 3
 
 
 def test_trace_export_on_demand(tmp_path):

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
+from repro.chaos.schedule import ChaosSchedule
 from repro.core import ArgusError
 from repro.entities import ArgusSystem
-from repro.net import FaultPlan, schedule_crash, schedule_partition
+from repro.net import schedule_crash, schedule_partition
 from repro.streams import StreamConfig
 from repro.types import INT, HandlerType
 
@@ -162,7 +163,7 @@ def test_repeated_partitions_never_wedge_the_stream(seed, n_calls):
     n_calls=st.integers(min_value=3, max_value=20),
 )
 def test_random_fault_plans_traced_invariants(seed, loss_rate, n_calls):
-    """Seeded ``FaultPlan.random`` schedules, checked *through the trace*:
+    """Seeded chaos schedules, checked *through the trace*:
 
     - delivered calls are exactly-once and in order (seq numbers per
       stream incarnation are unique and contiguous from 1);
@@ -172,16 +173,16 @@ def test_random_fault_plans_traced_invariants(seed, loss_rate, n_calls):
     system, server, client = build_world(seed, loss_rate, jitter=0.0, tracing=True)
     # Only the server may crash: the client process must survive to drive
     # all n_calls to completion, or liveness is unassertable.  Drawing from
-    # the system registry's dedicated "faults.plan" stream keeps the plan
+    # the system registry's dedicated "chaos.plan" stream keeps the plan
     # independent of jitter/workload draws, so the whole run replays
     # bit-identically from the one seed.
-    plan = FaultPlan.random(
+    schedule = ChaosSchedule.generate(
         system.rng,
         nodes=["node:client", "node:server"],
-        horizon=40.0,
         crashable=["node:server"],
+        horizon=40.0,
     )
-    plan.apply(system.network)
+    schedule.apply(system.network, system.rng)
 
     def main(ctx):
         echo = ctx.lookup("server", "echo")

@@ -88,25 +88,6 @@ def test_fault_plan_error_names_known_nodes(env, network):
         schedule_crash(network, "nope", at=1.0)
 
 
-def test_random_fault_plan_is_deterministic_and_valid(env, network):
-    import random
-
-    plans = [
-        FaultPlan.random(
-            random.Random(42), ["a", "b"], horizon=30.0, crashable=["b"]
-        )
-        for _ in range(2)
-    ]
-    assert len(plans[0]) == len(plans[1])
-    assert plans[0]._crashes == plans[1]._crashes
-    assert plans[0]._partitions == plans[1]._partitions
-    # Crashes only hit the crashable subset.
-    assert all(name == "b" for name, _, _ in plans[0]._crashes)
-    # The plan applies cleanly and the sim drains.
-    plans[0].apply(network)
-    env.run()
-
-
 def test_crash_kills_inflight_messages(env, network):
     received = []
     network.node("b").register("inbox", lambda m: received.append(m.payload))

@@ -6,7 +6,6 @@ import pytest
 
 from repro.entities import ArgusSystem
 from repro.net.faults import LinkFaultInjector, LinkFaultProfile
-from repro.sim.rng import RngRegistry
 from repro.streams import StreamConfig
 
 from ..streams.helpers import build_echo_world, run_main
@@ -161,20 +160,3 @@ def test_no_injector_means_identical_stats():
     assert values == list(range(8))
     assert system.network.stats.messages_dropped_chaos == 0
     assert system.network.stats.messages_duplicated == 0
-
-
-def test_registry_rng_accepted_by_faultplan_random():
-    """FaultPlan.random accepts either a raw Random (legacy call sites) or
-    an RngRegistry, drawing from the dedicated 'faults.plan' stream."""
-    from repro.net.faults import FaultPlan
-
-    nodes = ["node:a", "node:b", "node:c"]
-    plan_a = FaultPlan.random(RngRegistry(42), nodes, horizon=30.0)
-    plan_b = FaultPlan.random(RngRegistry(42), nodes, horizon=30.0)
-    assert plan_a._crashes == plan_b._crashes
-    assert plan_a._partitions == plan_b._partitions
-    # Legacy call sites hand in a bare random.Random; still supported.
-    legacy_a = FaultPlan.random(random.Random(42), nodes, horizon=30.0)
-    legacy_b = FaultPlan.random(random.Random(42), nodes, horizon=30.0)
-    assert legacy_a._crashes == legacy_b._crashes
-    assert legacy_a._partitions == legacy_b._partitions
