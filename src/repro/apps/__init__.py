@@ -11,11 +11,7 @@ from repro.apps.grades import (
     program_fig_4_2,
     program_rpc,
 )
-from repro.apps.grades_argus import (
-    FIG_3_1_SOURCE,
-    FIG_4_2_SOURCE,
-    run_grades_program,
-)
+from repro.apps.grades_argus import FIG_3_1_SOURCE, FIG_4_2_SOURCE
 from repro.apps.mailer import READ_MAIL_TYPE, SEND_MAIL_TYPE, build_mailer
 from repro.apps.window import (
     CHANGE_COLOR_TYPE,
@@ -45,5 +41,4 @@ __all__ = [
     "program_fig_4_1",
     "program_fig_4_2",
     "program_rpc",
-    "run_grades_program",
 ]

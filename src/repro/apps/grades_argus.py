@@ -3,19 +3,15 @@
 These sources are the closest executable artifacts to the paper's actual
 figures: ``FIG_3_1_SOURCE`` transcribes Figure 3-1 (two sequential loops),
 ``FIG_4_2_SOURCE`` transcribes Figure 4-2 (the coenter with a shared
-``queue[pt]``).  Both print via a ``printer`` guardian whose lines are
-returned for inspection; tests check they agree with each other and with
-the Python transcriptions in :mod:`repro.apps.grades`.
+``queue[pt]``).  Both print via a ``printer`` guardian and return the
+printed lines.  Tests pin their datagram counts and end times to the
+Python transcriptions in :mod:`repro.apps.grades`, and the conformance
+suite runs them on the simulator and over real sockets.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
-from repro.entities.system import ArgusSystem
-from repro.lang.interp import Interpreter, load_module
-
-__all__ = ["FIG_3_1_SOURCE", "FIG_4_2_SOURCE", "run_grades_program"]
+__all__ = ["FIG_3_1_SOURCE", "FIG_4_2_SOURCE"]
 
 _PRELUDE = """
 % The grades example, straight from the paper (section 3.1).
@@ -70,6 +66,7 @@ program main (grades: info)
     for s: sinfo in grades do
       queue[pt]$enq(aveq, stream grades_db.record_grade(s.stu, s.grade))
     end
+    flush grades_db.record_grade
     synch grades_db.record_grade
   action   % printing
     i: int := 0
@@ -86,21 +83,3 @@ program main (grades: info)
 end
 """
 
-
-def run_grades_program(
-    source: str,
-    roster: Sequence[Tuple[str, int]],
-    **system_kwargs,
-) -> Tuple[str, ArgusSystem]:
-    """Run one of the figure sources over *roster*; returns its output
-    string (``"student avg;..."``) and the system (for timing/stats)."""
-    module = load_module(source)
-    defaults = dict(latency=1.0, kernel_overhead=0.1)
-    defaults.update(system_kwargs)
-    system = ArgusSystem(**defaults)
-    interp = Interpreter(module, system)
-    interp.instantiate()
-    grades_value = [{"stu": student, "grade": grade} for student, grade in roster]
-    process = interp.spawn_program("main", grades_value)
-    output = system.run(until=process)
-    return output, system

@@ -3,14 +3,17 @@
 The paper's contribution is *linguistic*; this package reproduces the
 language-level guarantees — promise types derived from handler types,
 statically checked claim sites and except arms — as an executable DSL over
-the runtime (see DESIGN.md §2).
+the runtime (see DESIGN.md §2).  An :class:`Interpreter` builds declared
+guardians on any owner with ``create_guardian`` (an ``ArgusSystem`` or one
+``RtHost`` process), and hands out a program as a ``(ctx)`` procedure for
+any guardian to ``spawn``; the conformance suite runs the paper's Figures
+3-1 and 4-2 this way on both backends.
 """
 
 from repro.lang.errors import LangError, LexError, ParseError, TypeCheckError
 from repro.lang.interp import Interpreter, load_module, run_source
 from repro.lang.lexer import tokenize
 from repro.lang.parser import parse_module
-from repro.lang.pretty import pretty_expr, pretty_module, pretty_stmt, pretty_type
 from repro.lang.typecheck import check_module
 
 __all__ = [
@@ -22,10 +25,6 @@ __all__ = [
     "check_module",
     "load_module",
     "parse_module",
-    "pretty_expr",
-    "pretty_module",
-    "pretty_stmt",
-    "pretty_type",
     "run_source",
     "tokenize",
 ]

@@ -1,7 +1,7 @@
 """Tree-walking interpreter for the mini-Argus language.
 
-Runs type-checked modules on the :class:`~repro.entities.system.ArgusSystem`
-runtime: guardians declared in the source become real guardians whose
+Runs type-checked modules on the guardian runtime, simulated or over real
+sockets: guardians declared in the source become real guardians whose
 handler bodies are interpreted; programs run as client processes.  All
 blocking operations (RPCs, ``claim``, ``synch``, queue operations,
 ``sleep``) suspend the underlying simulated process, so interpreted code
@@ -35,19 +35,27 @@ def load_module(source: str) -> A.Module:
     return module
 
 
-def run_source(source: str, system: Optional[ArgusSystem] = None, program: str = "main", **system_kwargs):
-    """One-shot convenience: build a system, instantiate, run ``main``.
+def run_source(
+    source: str,
+    *args: Any,
+    system: Optional[ArgusSystem] = None,
+    program: str = "main",
+    **system_kwargs,
+):
+    """One-shot convenience: build a system, instantiate the module's
+    guardians, run *program* on *args* in a ``client`` guardian.
 
     Returns ``(result, system)``.
     """
-    module = load_module(source)
     if system is None:
         system = ArgusSystem(**system_kwargs)
-    interp = Interpreter(module, system)
-    interp.instantiate()
-    process = interp.spawn_program(program)
-    result = system.run(until=process)
-    return result, system
+    interp = Interpreter(load_module(source))
+    interp.instantiate(system)
+    client = system.guardians.get("client")
+    if client is None:
+        client = system.create_guardian("client")
+    process = client.spawn(interp.program(program, *args))
+    return system.run(until=process), system
 
 
 class _Return(Exception):
@@ -121,66 +129,57 @@ def _to_text(value: Any) -> str:
 
 
 class Interpreter:
-    """Executes one module on one system."""
+    """Executes one module on any owner of guardians.
 
-    def __init__(self, module: A.Module, system: ArgusSystem) -> None:
+    The owner is whatever has ``create_guardian``: a simulated
+    :class:`~repro.entities.system.ArgusSystem` or one
+    :class:`~repro.rt.host.RtHost` process of a real-socket world.
+    """
+
+    def __init__(self, module: A.Module) -> None:
         self.module = module
-        self.system = system
-        self.guardians: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # World building
     # ------------------------------------------------------------------
-    def instantiate(self) -> Dict[str, Any]:
-        """Create a real guardian for every guardian declaration."""
-        for decl in self.module.guardians:
-            guardian = self.system.create_guardian(decl.name)
-            for handler in decl.handlers:
-                guardian.create_handler(
-                    handler.name, handler.handler_type, self._make_impl(handler)
-                )
-            self.guardians[decl.name] = guardian
-        return self.guardians
+    def guardian(self, owner: Any, name: str):
+        """Create the guardian declared as *name* on *owner*."""
+        decl = self.module.guardian(name)
+        guardian = owner.create_guardian(name)
+        for handler in decl.handlers:
+            guardian.create_handler(
+                handler.name, handler.handler_type, self._procedure(handler, "handler")
+            )
+        return guardian
 
-    def _make_impl(self, handler: A.HandlerDecl):
+    def instantiate(self, owner: Any) -> Dict[str, Any]:
+        """Create every declared guardian on *owner*."""
+        return {decl.name: self.guardian(owner, decl.name) for decl in self.module.guardians}
+
+    def program(self, name: str, *args: Any):
+        """Program *name* applied to *args*, as a ``(ctx)`` procedure any
+        guardian can ``spawn``."""
+        return self._procedure(self.module.program(name), "program", args)
+
+    def _procedure(self, decl, kind: str, bound: Tuple[Any, ...] = ()):
         interp = self
 
-        def impl(ctx, *args):
-            scope = _Scope()
-            for (name, _tp), value in zip(handler.params, args):
-                scope.declare(name, value)
-            frame = _Frame(ctx)
-            try:
-                yield from interp._exec_block(handler.body, scope.child(), frame)
-            except _Return as ret:
-                return _collapse(ret.values)
-            return None
+        def run(ctx, *args):
+            return (yield from interp._activate(decl, _Frame(ctx), bound + args))
 
-        impl.__name__ = "argus_handler_%s" % handler.name
-        return impl
+        run.__name__ = "argus_%s_%s" % (kind, decl.name)
+        return run
 
-    def spawn_program(self, name: str, *args: Any, guardian_name: str = "client"):
-        """Spawn program *name* as a process of *guardian_name*."""
-        program = self.module.program(name)
-        if guardian_name in self.system.guardians:
-            client = self.system.guardians[guardian_name]
-        else:
-            client = self.system.create_guardian(guardian_name)
-        interp = self
-
-        def body(ctx):
-            scope = _Scope()
-            for (pname, _tp), value in zip(program.params, args):
-                scope.declare(pname, value)
-            frame = _Frame(ctx)
-            try:
-                yield from interp._exec_block(program.body, scope.child(), frame)
-            except _Return as ret:
-                return _collapse(ret.values)
-            return None
-
-        body.__name__ = "argus_program_%s" % name
-        return client.spawn(body)
+    def _activate(self, decl, frame: _Frame, args):
+        """Run a handler, program or procedure body on *args*."""
+        scope = _Scope()
+        for (name, _tp), value in zip(decl.params, args):
+            scope.declare(name, value)
+        try:
+            yield from self._exec_block(decl.body, scope.child(), frame)
+        except _Return as ret:
+            return _collapse(ret.values)
+        return None
 
     # ------------------------------------------------------------------
     # Statements
@@ -399,7 +398,7 @@ class Interpreter:
             for arg in expr.args:
                 args.append((yield from self._eval(arg, scope, frame)))
             return frame.ctx.fork(
-                self._make_proc_runner(proc),
+                self._procedure(proc, "proc"),
                 *args,
                 ptype=proc.promise_type(),
                 label=proc.name,
@@ -450,18 +449,10 @@ class Interpreter:
         if expr.resolution == "builtin":
             return (yield from self._eval_builtin(expr, scope, frame))
         if expr.resolution == "proc":
-            proc: A.ProcDecl = expr.resolved
             args = []
             for arg in expr.args:
                 args.append((yield from self._eval(arg, scope, frame)))
-            proc_scope = _Scope()
-            for (pname, _tp), value in zip(proc.params, args):
-                proc_scope.declare(pname, value)
-            try:
-                yield from self._exec_block(proc.body, proc_scope.child(), frame)
-            except _Return as ret:
-                return _collapse(ret.values)
-            return None
+            return (yield from self._activate(expr.resolved, frame, args))
         # RPC
         ref, args = yield from self._remote_parts(expr, scope, frame)
         result = yield ref.call(*args)
@@ -509,7 +500,7 @@ class Interpreter:
         if resolution == "queue_new":
             element = expr.on_type.element  # type: ignore[attr-defined]
             return PromiseQueue(
-                self.system.env,
+                frame.ctx.env,
                 element if isinstance(element, PromiseType) else None,
             )
         if resolution == "queue_enq":
@@ -519,23 +510,6 @@ class Interpreter:
             item = yield args[0].deq()
             return item
         raise LangError("unknown type operation %r" % (expr.op,), expr.pos)
-
-    def _make_proc_runner(self, proc: A.ProcDecl):
-        interp = self
-
-        def runner(ctx, *args):
-            scope = _Scope()
-            for (pname, _tp), value in zip(proc.params, args):
-                scope.declare(pname, value)
-            frame = _Frame(ctx)
-            try:
-                yield from interp._exec_block(proc.body, scope.child(), frame)
-            except _Return as ret:
-                return _collapse(ret.values)
-            return None
-
-        runner.__name__ = "argus_proc_%s" % proc.name
-        return runner
 
 
 def _collapse(values: Tuple[Any, ...]) -> Any:

@@ -1,8 +1,8 @@
 """Discrete-event simulation kernel (deterministic substrate).
 
 See :mod:`repro.sim.kernel` for the event loop, :mod:`repro.sim.process`
-for generator-based processes, :mod:`repro.sim.sync` for semaphores,
-condition variables and blocking queues.
+for generator-based processes, :mod:`repro.sim.sync` for the blocking
+queue under ``queue[pt]``.
 """
 
 from repro.sim.alarm import Alarm
@@ -10,13 +10,7 @@ from repro.sim.events import AllOf, AnyOf, Condition, ConditionValue, Event, Tim
 from repro.sim.kernel import EmptySchedule, Environment, Infinity
 from repro.sim.process import Interrupt, Process, ProcessKilled
 from repro.sim.rng import RngRegistry
-from repro.sim.sync import (
-    BlockingQueue,
-    ConditionVariable,
-    Lock,
-    QueueClosed,
-    Semaphore,
-)
+from repro.sim.sync import BlockingQueue, QueueClosed
 
 __all__ = [
     "Alarm",
@@ -25,17 +19,14 @@ __all__ = [
     "BlockingQueue",
     "Condition",
     "ConditionValue",
-    "ConditionVariable",
     "EmptySchedule",
     "Environment",
     "Event",
     "Infinity",
     "Interrupt",
-    "Lock",
     "Process",
     "ProcessKilled",
     "QueueClosed",
     "RngRegistry",
-    "Semaphore",
     "Timeout",
 ]

@@ -1,210 +1,27 @@
-"""Synchronization primitives for simulated processes.
+"""Blocking FIFO queue for simulated processes.
 
 The paper notes that the shared promise queue of Figure 4-1 "can be
 implemented using standard synchronization mechanisms such as semaphores [3]
-or monitors [8]".  This module provides those mechanisms over the simulation
-kernel: a counting semaphore, a mutual-exclusion lock, a monitor-style
-condition variable, and a blocking FIFO queue built from them.
+or monitors [8]".  Over the simulation kernel no such mechanism is needed:
+:class:`BlockingQueue` parks blocked getters and putters as kernel events
+and wakes them in FIFO order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, Optional
 
 from repro.sim.events import Event
 from repro.sim.kernel import Environment
 
-__all__ = ["Semaphore", "Lock", "ConditionVariable", "BlockingQueue", "QueueClosed"]
+__all__ = ["BlockingQueue", "QueueClosed"]
 
 
 class _PutEvent(Event):
     """A blocked put: the event plus the item awaiting queue space."""
 
     __slots__ = ("_pending_item",)
-
-
-class Semaphore:
-    """Counting semaphore (Dijkstra's P/V) for simulated processes."""
-
-    def __init__(self, env: Environment, value: int = 1) -> None:
-        if value < 0:
-            raise ValueError("semaphore value must be >= 0, got %r" % (value,))
-        self.env = env
-        self._value = value
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        """Current counter value (0 when all permits are held)."""
-        return self._value
-
-    @property
-    def waiting(self) -> int:
-        """Number of processes blocked in :meth:`acquire`."""
-        return len(self._waiters)
-
-    def acquire(self) -> Event:
-        """Return an event that fires once a permit is obtained.
-
-        Yield the returned event from a simulated process::
-
-            yield sem.acquire()
-        """
-        event = Event(self.env)
-        if self._value > 0:
-            self._value -= 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def try_acquire(self) -> bool:
-        """Take a permit without blocking; return whether one was taken."""
-        if self._value > 0:
-            self._value -= 1
-            return True
-        return False
-
-    def release(self) -> None:
-        """Return a permit, waking the longest-waiting process if any."""
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.triggered:  # skip waiters cancelled by interrupts
-                waiter.succeed()
-                return
-        self._value += 1
-
-    def cancel(self, event: Event) -> None:
-        """Withdraw a pending :meth:`acquire` (used on interrupt)."""
-        try:
-            self._waiters.remove(event)
-        except ValueError:
-            pass
-
-
-class Lock:
-    """Mutual-exclusion lock with owner tracking."""
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._sem = Semaphore(env, 1)
-        self._owner: Optional[Any] = None
-
-    @property
-    def locked(self) -> bool:
-        return self._sem.value == 0
-
-    @property
-    def owner(self) -> Optional[Any]:
-        """The process holding the lock (if it recorded itself)."""
-        return self._owner
-
-    def acquire(self) -> Event:
-        """Yieldable: take the lock, recording the acquiring process."""
-        event = self._sem.acquire()
-        holder = self.env.active_process
-
-        def record(_event: Event) -> None:
-            self._owner = holder
-
-        if event.triggered:
-            self._owner = holder
-        else:
-            event.callbacks.append(record)
-        return event
-
-    def release(self) -> None:
-        """Release the lock; errors if it is not held."""
-        if not self.locked:
-            raise RuntimeError("release of unlocked lock")
-        self._owner = None
-        self._sem.release()
-
-
-class ConditionVariable:
-    """Monitor-style condition variable (Hoare [8], signal-and-continue).
-
-    Usage from a simulated process holding *lock*::
-
-        yield cv.wait(lock)      # atomically releases lock, reacquires after
-    """
-
-    def __init__(self, env: Environment, lock: Lock) -> None:
-        self.env = env
-        self.lock = lock
-        self._waiters: List[Event] = []
-
-    @property
-    def waiting(self) -> int:
-        return len(self._waiters)
-
-    def wait(self, timeout: Optional[float] = None) -> Event:
-        """Release the lock, block until notified, then reacquire the lock.
-
-        Returns a composite event suitable for ``yield``.  The event's value
-        is ``True`` if notified, ``False`` on timeout.
-        """
-        if not self.lock.locked:
-            raise RuntimeError("wait() requires the lock to be held")
-
-        notified = Event(self.env)
-        self._waiters.append(notified)
-        self.lock.release()
-
-        done = Event(self.env)
-
-        def reacquire(was_notified: bool) -> None:
-            acq = self.lock.acquire()
-
-            def finish(_event: Event) -> None:
-                done.succeed(was_notified)
-
-            if acq.triggered:
-                finish(acq)
-            else:
-                acq.callbacks.append(finish)
-
-        settled = {"done": False}
-
-        def on_notify(_event: Event) -> None:
-            if settled["done"]:
-                return
-            settled["done"] = True
-            reacquire(True)
-
-        if timeout is None:
-            notified.callbacks.append(on_notify)
-        else:
-            timer = self.env.timeout(timeout)
-
-            def on_timer(_event: Event) -> None:
-                if settled["done"] or notified.triggered:
-                    return
-                settled["done"] = True
-                try:
-                    self._waiters.remove(notified)
-                except ValueError:
-                    pass
-                reacquire(False)
-
-            notified.callbacks.append(on_notify)
-            timer.callbacks.append(on_timer)
-        return done
-
-    def notify(self, n: int = 1) -> int:
-        """Wake up to *n* waiters; return how many were woken."""
-        woken = 0
-        while self._waiters and woken < n:
-            waiter = self._waiters.pop(0)
-            if not waiter.triggered:
-                waiter.succeed()
-                woken += 1
-        return woken
-
-    def notify_all(self) -> int:
-        """Wake every waiter; returns how many were woken."""
-        return self.notify(len(self._waiters))
 
 
 class QueueClosed(Exception):

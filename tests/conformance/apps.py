@@ -11,17 +11,22 @@ spawned worker interpreters by pickling them *by reference*.
 A :class:`World` bundles the server setups with the topology
 declarations the wallclock client needs (guardian -> handler -> type);
 the simulator backend ignores the topology because its registry is
-shared.
+shared.  :func:`argus_row` derives both, and the client, from a
+mini-Argus module.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import functools
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
+from repro.lang import Interpreter, load_module
 from repro.types.signatures import INT, ArrayOf, HandlerType
 
 __all__ = [
     "World",
+    "argus_row",
+    "roster_info",
     "ECHO_T",
     "APPEND_T",
     "DUMP_T",
@@ -104,6 +109,40 @@ ECHO_WORLD = World("echo", {"echo": setup_echo}, {"echo": {"echo": ECHO_T}})
 SEQ_WORLD = World(
     "seq", {"seq": setup_seq}, {"seq": {"append": APPEND_T, "dump": DUMP_T}}
 )
+
+
+def setup_argus_guardian(source: str, name: str, owner) -> None:
+    """Interpret guardian *name* of the mini-Argus *source* on *owner*."""
+    Interpreter(load_module(source)).guardian(owner, name)
+
+
+def argus_row(source: str, *args: Any) -> Tuple[World, Callable]:
+    """A mini-Argus module as a conformance row: its guardians as the
+    world, its ``main`` program on *args* as the client.
+
+    Each guardian's setup is :func:`setup_argus_guardian` bound to the
+    source text, so a wallclock worker re-reads the module itself; the
+    topology comes from each handler's declared type.
+    """
+    module = load_module(source)
+    world = World(
+        "argus",
+        {
+            decl.name: functools.partial(setup_argus_guardian, source, decl.name)
+            for decl in module.guardians
+        },
+        {
+            decl.name: {h.name: h.handler_type for h in decl.handlers}
+            for decl in module.guardians
+        },
+    )
+    return world, Interpreter(module).program("main", *args)
+
+
+def roster_info(roster: Sequence[Tuple[str, int]]) -> List[Dict[str, Any]]:
+    """*roster* as the grades sources' ``info`` argument (an array of
+    ``sinfo`` records)."""
+    return [{"stu": student, "grade": grade} for student, grade in roster]
 
 
 # ----------------------------------------------------------------------

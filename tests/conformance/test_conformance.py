@@ -2,7 +2,8 @@
 
 One set of application-level scenarios — call ordering, exactly-once
 under disturbance, promise claim semantics, coenter, stream flow
-control, span propagation — asserted identically against the
+control, span propagation, the paper's grades figures as interpreted
+mini-Argus source — asserted identically against the
 deterministic simulator and the real-socket asyncio backend.  The
 transport invariants (exactly-once delivery, FIFO order, promise
 lifecycle) are additionally replayed through the
@@ -16,6 +17,10 @@ jitter — they assert outcomes and invariants, never timings.
 
 from __future__ import annotations
 
+import pytest
+
+from repro.apps import make_roster
+from repro.apps.grades_argus import FIG_3_1_SOURCE, FIG_4_2_SOURCE
 from repro.streams.config import StreamConfig
 
 from tests.conformance import apps
@@ -141,6 +146,20 @@ def test_span_propagation(backend):
         server_ids |= trace_ids(trace, "stream.call_executing")
     assert server_ids, "server executed no spanned calls"
     assert server_ids <= client_ids, (server_ids, client_ids)
+
+
+@pytest.mark.parametrize(
+    "source", [FIG_3_1_SOURCE, FIG_4_2_SOURCE], ids=["fig31", "fig42"]
+)
+def test_interpreted_grades_figure(backend, source):
+    """The paper's Figures 3-1 and 4-2, run as mini-Argus source: every
+    guardian and the client program are interpreted, and the printed
+    lines come back in roster order."""
+    roster = make_roster(12)
+    world, client = apps.argus_row(source, apps.roster_info(roster))
+    result = backend.run(world, client)
+    assert result.value == "".join("%s %d;" % row for row in roster)
+    assert_invariants(result)
 
 
 def test_sim_runs_are_bit_deterministic():

@@ -295,9 +295,9 @@ def test_program_with_arguments():
         """
     )
     system = ArgusSystem()
-    interp = Interpreter(module, system)
-    interp.instantiate()
-    process = interp.spawn_program("main", 14)
+    process = system.create_guardian("client").spawn(
+        Interpreter(module).program("main", 14)
+    )
     assert system.run(until=process) == 42
 
 
@@ -328,9 +328,9 @@ def test_interp_and_python_guardians_interoperate():
         end
         """
     )
-    interp = Interpreter(module, system)
-    interp.instantiate()
-    process = interp.spawn_program("main")
+    interp = Interpreter(module)
+    interp.instantiate(system)
+    process = system.create_guardian("client").spawn(interp.program("main"))
     assert system.run(until=process) == 5
 
 
@@ -533,8 +533,9 @@ def test_dsl_program_sees_unavailable_under_partition():
     )
     config = StreamConfig(batch_size=2, max_buffer_delay=0.5, rto=3.0, max_retries=1)
     system = ArgusSystem(latency=1.0, kernel_overhead=0.1, stream_config=config)
-    interp = Interpreter(module, system)
-    interp.instantiate()
+    interp = Interpreter(module)
+    interp.instantiate(system)
+    client = system.create_guardian("client")
     system.network.partition("node:client", "node:g")
-    process = interp.spawn_program("main")
+    process = client.spawn(interp.program("main"))
     assert system.run(until=process) == -7

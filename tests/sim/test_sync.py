@@ -1,182 +1,8 @@
-"""Unit tests for semaphores, locks, condition variables and queues."""
+"""Unit tests for the blocking queue."""
 
 import pytest
 
-from repro.sim import (
-    BlockingQueue,
-    ConditionVariable,
-    Lock,
-    QueueClosed,
-    Semaphore,
-)
-
-
-# ----------------------------------------------------------------------
-# Semaphore
-# ----------------------------------------------------------------------
-def test_semaphore_immediate_acquire(env):
-    sem = Semaphore(env, 2)
-
-    def proc(env):
-        yield sem.acquire()
-        yield sem.acquire()
-        return sem.value
-
-    assert env.run(until=env.process(proc(env))) == 0
-
-
-def test_semaphore_blocks_when_exhausted(env):
-    sem = Semaphore(env, 1)
-    log = []
-
-    def holder(env):
-        yield sem.acquire()
-        yield env.timeout(5.0)
-        sem.release()
-
-    def waiter(env):
-        yield sem.acquire()
-        log.append(env.now)
-
-    env.process(holder(env))
-    env.process(waiter(env))
-    env.run()
-    assert log == [5.0]
-
-
-def test_semaphore_negative_value_rejected(env):
-    with pytest.raises(ValueError):
-        Semaphore(env, -1)
-
-
-def test_semaphore_try_acquire(env):
-    sem = Semaphore(env, 1)
-    assert sem.try_acquire()
-    assert not sem.try_acquire()
-    sem.release()
-    assert sem.try_acquire()
-
-
-def test_semaphore_fifo_wakeup(env):
-    sem = Semaphore(env, 0)
-    order = []
-
-    def waiter(env, tag):
-        yield sem.acquire()
-        order.append(tag)
-
-    for tag in ("a", "b", "c"):
-        env.process(waiter(env, tag))
-
-    def releaser(env):
-        for _ in range(3):
-            yield env.timeout(1.0)
-            sem.release()
-
-    env.process(releaser(env))
-    env.run()
-    assert order == ["a", "b", "c"]
-
-
-# ----------------------------------------------------------------------
-# Lock
-# ----------------------------------------------------------------------
-def test_lock_mutual_exclusion(env):
-    lock = Lock(env)
-    inside = []
-
-    def proc(env, tag):
-        yield lock.acquire()
-        inside.append(tag)
-        assert len(inside) == 1
-        yield env.timeout(1.0)
-        inside.remove(tag)
-        lock.release()
-
-    env.process(proc(env, "a"))
-    env.process(proc(env, "b"))
-    env.run()
-    assert lock.locked is False
-
-
-def test_lock_release_unlocked_rejected(env):
-    lock = Lock(env)
-    with pytest.raises(RuntimeError):
-        lock.release()
-
-
-# ----------------------------------------------------------------------
-# ConditionVariable
-# ----------------------------------------------------------------------
-def test_condition_variable_wait_notify(env):
-    lock = Lock(env)
-    cv = ConditionVariable(env, lock)
-    log = []
-
-    def waiter(env):
-        yield lock.acquire()
-        notified = yield cv.wait()
-        log.append(("woken", notified, env.now))
-        lock.release()
-
-    def notifier(env):
-        yield env.timeout(3.0)
-        yield lock.acquire()
-        cv.notify()
-        lock.release()
-
-    env.process(waiter(env))
-    env.process(notifier(env))
-    env.run()
-    assert log == [("woken", True, 3.0)]
-
-
-def test_condition_variable_timeout(env):
-    lock = Lock(env)
-    cv = ConditionVariable(env, lock)
-    log = []
-
-    def waiter(env):
-        yield lock.acquire()
-        notified = yield cv.wait(timeout=2.0)
-        log.append((notified, env.now))
-        lock.release()
-
-    env.process(waiter(env))
-    env.run()
-    assert log == [(False, 2.0)]
-
-
-def test_condition_variable_wait_requires_lock(env):
-    lock = Lock(env)
-    cv = ConditionVariable(env, lock)
-    with pytest.raises(RuntimeError):
-        cv.wait()
-
-
-def test_condition_variable_notify_all(env):
-    lock = Lock(env)
-    cv = ConditionVariable(env, lock)
-    woken = []
-
-    def waiter(env, tag):
-        yield lock.acquire()
-        yield cv.wait()
-        woken.append(tag)
-        lock.release()
-
-    for tag in range(3):
-        env.process(waiter(env, tag))
-
-    def notifier(env):
-        yield env.timeout(1.0)
-        yield lock.acquire()
-        assert cv.notify_all() == 3
-        lock.release()
-
-    env.process(notifier(env))
-    env.run()
-    assert sorted(woken) == [0, 1, 2]
+from repro.sim import BlockingQueue, QueueClosed
 
 
 # ----------------------------------------------------------------------
