@@ -7,8 +7,12 @@ function entered:
 * **tier-1**: ``pytest`` with the repository's default options;
 * **entry points**: E1-E13 (``pytest benchmarks --ignore=benchmarks/suite``),
   the simulator conformance rows (``pytest tests/conformance``), the chaos
-  corpus replay, every suite workload untraced (``--trace 0``), and every
-  ``examples/*.py``.
+  corpus replay, a two-seed chaos campaign over every workload at default
+  and at heavy intensity, every suite workload untraced (``--trace 0``),
+  every ``examples/*.py``, and CI's trace CLI smoke: a Fig 3-1 trace
+  exported by ``examples/grades_pipeline.py --trace DIR --chrome-trace
+  FILE``, then ``python -m repro.obs summarize|spans|critical-path|chrome``
+  on it.
 
 A function counts whole once entered; its lines are the lines on which
 its own bytecode starts a statement (nested functions count
@@ -74,12 +78,16 @@ SUITE_WORKLOADS = (
 Key = Tuple[str, int, str]
 
 
-def steps() -> Dict[str, List[str]]:
-    """Set name -> the steps it runs (see :func:`run_step`)."""
+def steps(trace_dir: str) -> Dict[str, List[str]]:
+    """Set name -> the steps it runs (see :func:`run_step`); the trace CLI
+    smoke writes and reads its files under *trace_dir*."""
+    trace = os.path.join(trace_dir, "fig31.trace.jsonl")
     entry = [
         "pytest:benchmarks --ignore=benchmarks/suite",
         "pytest:tests/conformance",
-        "chaos:replay tests/chaos/seeds",
+        "module:repro.chaos replay tests/chaos/seeds",
+        "module:repro.chaos run --workload all --seeds 0:2",
+        "module:repro.chaos run --workload all --seeds 0:2 --intensity heavy",
     ]
     entry += [
         "script:benchmarks/suite/run.py --workload %s --seed 1 --seconds %d --trace 0"
@@ -90,6 +98,14 @@ def steps() -> Dict[str, List[str]]:
         "script:" + os.path.relpath(path, ROOT)
         for path in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py")))
     ]
+    entry += [
+        "script:examples/grades_pipeline.py --trace %s --chrome-trace %s"
+        % (trace_dir, os.path.join(trace_dir, "fig31.chrome.json")),
+        "module:repro.obs summarize " + trace,
+        "module:repro.obs spans " + trace,
+        "module:repro.obs critical-path " + trace,
+        "module:repro.obs chrome %s -o %s" % (trace, os.path.join(trace_dir, "cli.chrome.json")),
+    ]
     return {"tier-1": ["pytest:"], "entry points": entry}
 
 
@@ -99,8 +115,9 @@ def steps() -> Dict[str, List[str]]:
 def run_step(step: str) -> Set[Key]:
     """Run *step* under the hook; return the ``src`` functions entered.
 
-    ``pytest:ARGS`` runs pytest, ``chaos:ARGS`` the chaos CLI and
-    ``script:PATH ARGS`` a script as ``__main__``.
+    ``pytest:ARGS`` runs pytest, ``module:NAME ARGS`` runs
+    ``python -m NAME ARGS`` and ``script:PATH ARGS`` a script, both as
+    ``__main__``.
     """
     kind, _, rest = step.partition(":")
     argv = rest.split()
@@ -118,10 +135,9 @@ def run_step(step: str) -> Set[Key]:
             import pytest
 
             pytest.main(["-q", "-p", "no:cacheprovider"] + argv)
-        elif kind == "chaos":
-            from repro.chaos.__main__ import main
-
-            main(argv)
+        elif kind == "module":
+            sys.argv = argv
+            runpy.run_module(argv[0], run_name="__main__", alter_sys=True)
         else:
             sys.argv = argv
             runpy.run_path(os.path.join(ROOT, argv[0]), run_name="__main__")
@@ -261,11 +277,12 @@ def main(argv: List[str] = None) -> int:
             json.dump(sorted(keys), handle)
         return 0
     reached: Dict[str, Set[Key]] = {}
-    for name, names in steps().items():
-        reached[name] = set()
-        for step in names:
-            print("[%s] %s" % (name, step), file=sys.stderr, flush=True)
-            reached[name] |= collect(step)
+    with tempfile.TemporaryDirectory() as trace_dir:
+        for name, names in steps(trace_dir).items():
+            reached[name] = set()
+            for step in names:
+                print("[%s] %s" % (name, step), file=sys.stderr, flush=True)
+                reached[name] |= collect(step)
     print_report(report(reached))
     return 0
 

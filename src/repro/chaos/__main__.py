@@ -30,7 +30,10 @@ from repro.chaos.workloads import WORKLOADS
 
 
 def _parse_seeds(spec: str) -> List[int]:
-    """``"0:100"`` -> range, ``"3,17,42"`` -> list, ``"7"`` -> [7]."""
+    """``"0:100"`` -> range, ``"3,17,42"`` -> list, ``"7"`` -> [7].
+
+    The ``--seeds`` argument type: a bad or empty spec is a usage error.
+    """
     if ":" in spec:
         lo, hi = spec.split(":", 1)
         start, stop = int(lo), int(hi)
@@ -39,7 +42,17 @@ def _parse_seeds(spec: str) -> List[int]:
                 "seed range %r is empty (use start:stop with stop > start)" % spec
             )
         return list(range(start, stop))
-    return [int(part) for part in spec.split(",") if part]
+    seeds = [int(part) for part in spec.split(",") if part]
+    if not seeds:
+        raise argparse.ArgumentTypeError("seed list %r names no seed" % spec)
+    return seeds
+
+
+def _seed_label(seeds: List[int]) -> str:
+    """``start:stop`` for a contiguous run, else the comma list."""
+    if len(seeds) > 1 and seeds == list(range(seeds[0], seeds[-1] + 1)):
+        return "%d:%d" % (seeds[0], seeds[-1] + 1)
+    return ",".join(str(seed) for seed in seeds)
 
 
 def _workload_roster(name: str) -> List[str]:
@@ -53,12 +66,11 @@ def _workload_roster(name: str) -> List[str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    seeds = _parse_seeds(args.seeds)
     roster = _workload_roster(args.workload)
     failures = []
     total = 0
     for workload in roster:
-        for seed in seeds:
+        for seed in args.seeds:
             result = run_one(workload, seed, intensity=args.intensity)
             total += 1
             if result.failed:
@@ -84,7 +96,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 )
     print(
         "campaign: %d run(s), %d failure(s) [workloads: %s; seeds: %s; intensity: %s]"
-        % (total, len(failures), ",".join(roster), args.seeds, args.intensity)
+        % (total, len(failures), ",".join(roster), _seed_label(args.seeds), args.intensity)
     )
 
     if failures and args.artifacts:
@@ -201,7 +213,9 @@ def main(argv: List[str] = None) -> int:
 
     p_run = sub.add_parser("run", help="sweep a seed range")
     p_run.add_argument("--workload", default="all", help="workload name or 'all'")
-    p_run.add_argument("--seeds", default="0:25", help="A:B range or comma list")
+    p_run.add_argument(
+        "--seeds", type=_parse_seeds, default="0:25", help="A:B range or comma list"
+    )
     p_run.add_argument(
         "--intensity", default="default", choices=sorted(INTENSITIES)
     )

@@ -3,8 +3,9 @@
 See :mod:`repro.obs.trace` for the tracer (typed events, JSONL export,
 summary report), :mod:`repro.obs.spans` for causal span trees /
 critical-path analysis / Chrome trace export, :mod:`repro.obs.monitor`
-for the online invariant monitors, and :mod:`repro.obs.metrics` for the
-counter/histogram registry.  Tracing is disabled by default and is
+for the online invariant monitors, :mod:`repro.obs.metrics` for the
+counter/histogram registry, and :mod:`repro.obs.hist` for the
+constant-memory histogram.  Tracing is disabled by default and is
 enabled per run with ``ArgusSystem(tracing=True)`` or
 ``Tracer.install(env)``.  Exported traces are analyzed offline with
 ``python -m repro.obs`` (see :mod:`repro.obs.__main__`).
@@ -13,7 +14,6 @@ enabled per run with ``ArgusSystem(tracing=True)`` or
 from repro.obs.hist import StreamingHistogram
 from repro.obs.metrics import Counter, Histogram, Metrics
 from repro.obs.monitor import MonitorSuite, MonitorViolation
-from repro.obs.slo import SloSpec, evaluate_slo
 from repro.obs.spans import (
     CallSpan,
     SpanNode,
@@ -24,17 +24,13 @@ from repro.obs.spans import (
     to_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.timeseries import WindowedCollector
 from repro.obs.trace import TraceEvent, Tracer, load_jsonl, mint_span
 
 __all__ = [
     "Counter",
     "Histogram",
     "Metrics",
-    "SloSpec",
     "StreamingHistogram",
-    "WindowedCollector",
-    "evaluate_slo",
     "MonitorSuite",
     "MonitorViolation",
     "CallSpan",

@@ -21,19 +21,6 @@ example's ``--trace DIR`` flag).  Subcommands:
 ``chrome``
     Convert the trace to Chrome trace-event JSON; open the output in
     ``chrome://tracing`` or https://ui.perfetto.dev.
-
-Two further subcommands operate on a **load report** (the JSON written
-by ``benchmarks/load/run_load.py``) instead of a raw trace:
-
-``report``
-    Per-workload load summary: achieved throughput, latency quantiles
-    through p999, the stepped-rate ladder, and the SLO verdict table.
-
-``top``
-    Replay the run's per-window timeline as live ``top``-style frames
-    (throughput bars, in-flight occupancy, tail latency per window).
-    ``--interval`` inserts a real-time delay between frames;
-    the default of 0 prints all frames at once (CI-friendly).
 """
 
 from __future__ import annotations
@@ -41,10 +28,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import List, Optional
 
-from repro.obs.slo import load_report, render_report, top_frames
 from repro.obs.spans import (
     PHASES,
     aggregate_critical_path,
@@ -65,29 +50,14 @@ from repro.obs.trace import (
 
 
 def _load_trace(path: str):
-    """Load a JSONL trace with actionable errors for bad inputs."""
-    try:
-        events = load_jsonl(path)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            "%s: not a JSONL trace (invalid JSON: %s)" % (path, exc)
-        ) from None
+    """Load a JSONL trace; an empty one is a user error too."""
+    events = load_jsonl(path)
     if not events:
         raise ValueError(
             "%s: trace contains no events (was it exported with tracing "
             "enabled?)" % (path,)
         )
     return events
-
-
-def _load_report(path: str):
-    """Load a load-report JSON with actionable errors for bad inputs."""
-    try:
-        return load_report(path)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            "%s: not a load report (invalid JSON: %s)" % (path, exc)
-        ) from None
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
@@ -215,36 +185,6 @@ def _cmd_chrome(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    report = _load_report(args.report)
-    print(render_report(report))
-    slo = report.get("slo")
-    return 0 if slo is None or slo.get("ok") else 1
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    report = _load_report(args.report)
-    workloads = sorted(report.get("workloads", {}))
-    if not workloads:
-        print("report has no workloads")
-        return 1
-    workload = args.workload or workloads[0]
-    frames = list(top_frames(report, workload))
-    if not frames:
-        print("workload %r recorded no windows" % (workload,))
-        return 1
-    for index, frame in enumerate(frames):
-        if args.interval > 0:
-            # Live replay: repaint in place like top(1).
-            sys.stdout.write("\x1b[2J\x1b[H")
-        print(frame)
-        if args.interval > 0 and index + 1 < len(frames):
-            time.sleep(args.interval)
-        elif args.interval == 0 and index + 1 < len(frames):
-            print()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -276,27 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chrome.set_defaults(func=_cmd_chrome)
 
-    p_report = sub.add_parser(
-        "report", help="summarize a load report (run_load JSON) with SLO verdicts"
-    )
-    p_report.add_argument("report", help="path to a load report .json file")
-    p_report.set_defaults(func=_cmd_report)
-
-    p_top = sub.add_parser(
-        "top", help="replay a load report's per-window timeline as top-style frames"
-    )
-    p_top.add_argument("report", help="path to a load report .json file")
-    p_top.add_argument(
-        "-w", "--workload", default=None, help="workload to replay (default: first)"
-    )
-    p_top.add_argument(
-        "-i",
-        "--interval",
-        type=float,
-        default=0.0,
-        help="seconds between frames (0 = print all frames at once)",
-    )
-    p_top.set_defaults(func=_cmd_top)
     return parser
 
 

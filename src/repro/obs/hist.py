@@ -2,9 +2,9 @@
 
 The exact :class:`~repro.obs.metrics.Histogram` keeps every raw sample —
 perfect for simulation tests ("a few hundred thousand observations") but
-unusable under the open-loop load harness, where 10^5–10^6 simulated
-agents produce one latency sample per request.  This module provides the
-HDR/DDSketch-style alternative: **log-bucketed counts**.
+unusable for an always-on counter that must not grow with the run.  This
+module provides the HDR/DDSketch-style alternative: **log-bucketed
+counts**.
 
 A value ``v > 0`` lands in bucket ``ceil(log_gamma(v))`` where
 ``gamma = (1 + e) / (1 - e)`` for the configured relative error ``e``
@@ -16,18 +16,17 @@ in its own bucket and reported exactly).  Memory is O(distinct buckets):
 a span of values from 1 microsecond to 1 hour needs ~1100 buckets at 1%
 error, independent of how many observations fall into them.
 
-Design properties the load harness leans on:
+Design properties:
 
 * **mergeable** — :meth:`merge` adds bucket counts; merging is
   associative and commutative, so per-window / per-node histograms roll
   up without replay (``tests/obs/test_hist.py`` pins associativity);
 * **serializable** — :meth:`to_dict` / :meth:`from_dict` round-trip
-  through JSON, so the load report can carry full distributions and
-  ``python -m repro.obs report`` can re-query them offline;
+  through JSON, so a report can carry full distributions and re-query
+  any quantile offline;
 * **API-compatible** — ``count`` / ``total`` / ``mean`` / ``min`` /
   ``max`` / ``percentile`` / ``snapshot`` match the exact histogram, so
-  :class:`~repro.obs.metrics.Metrics` can swap one for the other behind
-  its ``streaming=`` mode flag.
+  a reader can take either.
 
 ``min``/``max`` are tracked exactly (they are single floats) and quantile
 answers are clamped into ``[min, max]``, so the edges never show

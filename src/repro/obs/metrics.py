@@ -1,24 +1,15 @@
 """Metrics: counters and latency histograms aggregated during a run.
 
-The registry has two histogram modes, chosen per :class:`Metrics`
-instance:
-
-* **exact** (the default) — a run produces at most a few hundred thousand
-  observations, so histograms keep their raw samples and report exact
-  means and percentiles.  Every simulation test uses this mode.
-* **streaming** (``Metrics(streaming=True)``) — observations land in
-  constant-memory log-bucketed :class:`~repro.obs.hist.StreamingHistogram`
-  instances (~1% relative error on quantiles).  The open-loop load
-  harness (``benchmarks/load``) runs in this mode: 10^5–10^6 agents'
-  latency samples must never be retained raw.
+A run produces at most a few hundred thousand observations, so
+histograms keep their raw samples and report exact means and
+percentiles.  The constant-memory alternative for unbounded runs is
+:class:`~repro.obs.hist.StreamingHistogram` (~1% relative error on
+quantiles), which shares this module's histogram API.
 
 Every counter and histogram is keyed by a metric *name* plus a small set
 of labels (``node=...``, ``stream=...``, ``reason=...``), mirroring how
 production systems (and the Reitz many-task runtime instrumentation in
-PAPERS.md) break per-operation statistics down by entity.  A registry can
-additionally forward writes into a
-:class:`~repro.obs.timeseries.WindowedCollector` (``Metrics(collector=...)``)
-so the same instrumentation sites also produce per-window timelines.
+PAPERS.md) break per-operation statistics down by entity.
 
 All values are plain Python numbers and the :meth:`Metrics.summary` report
 is JSON-serializable, so tests and benchmarks can assert on it directly.
@@ -26,9 +17,9 @@ is JSON-serializable, so tests and benchmarks can assert on it directly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.obs.hist import DEFAULT_RELATIVE_ERROR, StreamingHistogram, nearest_rank
+from repro.obs.hist import nearest_rank
 
 __all__ = ["Counter", "Histogram", "Metrics", "format_key"]
 
@@ -156,33 +147,11 @@ class Metrics:
     ``inc``/``observe`` create series lazily; readers use
     :meth:`counter_value` / :meth:`histogram` (exact label match) or
     :meth:`total` (sum over every label set of a name).
-
-    ``streaming=True`` switches every histogram series to the
-    constant-memory :class:`~repro.obs.hist.StreamingHistogram`
-    (``relative_error`` bounds its quantile error); the default keeps the
-    exact raw-sample :class:`Histogram` so existing tests see exact
-    percentiles.  An attached ``collector``
-    (:class:`~repro.obs.timeseries.WindowedCollector`) additionally
-    receives every write, keyed by bare metric name, to build per-window
-    timelines alongside the run totals.
     """
 
-    def __init__(
-        self,
-        streaming: bool = False,
-        relative_error: float = DEFAULT_RELATIVE_ERROR,
-        collector: Optional[Any] = None,
-    ) -> None:
-        self.streaming = streaming
-        self.relative_error = relative_error
-        self.collector = collector
+    def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
-        self._histograms: Dict[Tuple[str, LabelKey], Any] = {}
-
-    def _new_histogram(self) -> Any:
-        if self.streaming:
-            return StreamingHistogram(self.relative_error)
-        return Histogram()
+        self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
 
     # ------------------------------------------------------------------
     # Writing
@@ -194,18 +163,14 @@ class Metrics:
         if counter is None:
             counter = self._counters[key] = Counter()
         counter.inc(amount)
-        if self.collector is not None:
-            self.collector.inc(name, amount)
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         """Record *value* into histogram *name* (with *labels*)."""
         key = (name, _label_key(labels))
         histogram = self._histograms.get(key)
         if histogram is None:
-            histogram = self._histograms[key] = self._new_histogram()
+            histogram = self._histograms[key] = Histogram()
         histogram.observe(value)
-        if self.collector is not None:
-            self.collector.observe(name, value)
 
     # ------------------------------------------------------------------
     # Reading
@@ -223,15 +188,14 @@ class Metrics:
             if counter_name == name
         )
 
-    def histogram(self, name: str, **labels: Any) -> Any:
-        """The histogram series (an empty one, of the registry's mode, if
-        never observed)."""
+    def histogram(self, name: str, **labels: Any) -> Histogram:
+        """The histogram series (an empty one if never observed)."""
         histogram = self._histograms.get((name, _label_key(labels)))
-        return histogram if histogram is not None else self._new_histogram()
+        return histogram if histogram is not None else Histogram()
 
-    def merged_histogram(self, name: str) -> Any:
+    def merged_histogram(self, name: str) -> Histogram:
         """All observations of *name* pooled across label sets."""
-        merged = self._new_histogram()
+        merged = Histogram()
         for (histogram_name, _), histogram in self._histograms.items():
             if histogram_name == name:
                 merged.merge(histogram)

@@ -408,11 +408,6 @@ def critical_path(span: CallSpan) -> Dict[str, Any]:
     }
 
 
-#: Tail definitions shared with the SLO engine (:mod:`repro.obs.slo`):
-#: span reports and SLO reports quote the same percentiles, through p999.
-TAIL_PERCENTILES = (50.0, 99.0, 99.9)
-
-
 def _percentile_summary(histogram: Any) -> Dict[str, float]:
     return {
         "p50": histogram.percentile(50),
@@ -428,9 +423,8 @@ def aggregate_critical_path(spans: List[CallSpan]) -> Dict[str, Any]:
     ``phase_fractions`` normalizes by the summed end-to-end latency (the
     fractions sum to 1.0 because the phases partition each call's
     latency).  ``end_to_end_percentiles`` and ``phase_percentiles`` carry
-    the p50/p99/**p999** distribution summaries (exact, nearest-rank) so
-    span reports and SLO reports (:mod:`repro.obs.slo`) agree on tail
-    definitions.  The slowest call is included for drill-down.
+    the p50/p99/**p999** distribution summaries (exact, nearest-rank).
+    The slowest call is included for drill-down.
     """
     from repro.obs.metrics import Histogram
 

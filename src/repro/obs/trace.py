@@ -400,15 +400,27 @@ def load_jsonl(path: str) -> List[TraceEvent]:
     Returns the events in file order as :class:`TraceEvent` objects, so
     everything that consumes ``tracer.events`` — the span builder, the
     critical-path analyzer, the Chrome exporter, metric replay — works the
-    same on a loaded trace.  Blank lines are skipped.
+    same on a loaded trace.  Blank lines are skipped.  A line that is not
+    JSON, or not an object with ``t`` and ``type``, raises ``ValueError``
+    naming ``path:line``.
     """
     events: List[TraceEvent] = []
     with open(path, "r") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    "%s:%d: not a JSONL trace (invalid JSON: %s)" % (path, number, exc)
+                ) from None
+            if not isinstance(record, dict) or "t" not in record or "type" not in record:
+                raise ValueError(
+                    "%s:%d: not a trace event (need an object with 't' and 'type')"
+                    % (path, number)
+                )
             time = record.pop("t")
             etype = record.pop("type")
             events.append(TraceEvent(time, etype, record))

@@ -4,6 +4,8 @@ import json
 import os
 import shutil
 
+import pytest
+
 from repro.chaos.__main__ import main
 from repro.chaos.workloads import WORKLOADS, EchoWorkload
 
@@ -62,3 +64,13 @@ def test_replay_flags_a_tampered_digest(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "DRIFT %s" % path in out
     assert "replay: 1 seed(s), 1 drifted" in out
+
+
+@pytest.mark.parametrize("spec", ["5:2", ",", "x"])
+def test_run_rejects_a_bad_seed_spec_as_usage_error(capsys, spec):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--workload", "echo", "--seeds", spec])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "--seeds" in err

@@ -87,6 +87,25 @@ def test_spans_on_empty_trace_reports_and_fails(tmp_path, capsys):
     assert "no events" in err
 
 
+@pytest.mark.parametrize(
+    "command, line, reason",
+    [
+        ("summarize", '{"a": 1}', "need an object with 't' and 'type'"),
+        ("spans", "[1, 2]", "need an object with 't' and 'type'"),
+        ("critical-path", '{"t": 1.0}', "need an object with 't' and 'type'"),
+        ("chrome", "{not json", "invalid JSON"),
+    ],
+)
+def test_malformed_trace_reports_and_fails(tmp_path, capsys, command, line, reason):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"t": 0.0, "type": "trace_meta"}\n\n' + line + "\n")
+    assert main([command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s:3: " % (bad,))
+    assert reason in err
+    assert len(err.splitlines()) == 1
+
+
 # ----------------------------------------------------------------------
 # Truncated traces (ring-buffered tracer)
 # ----------------------------------------------------------------------
@@ -139,63 +158,3 @@ def test_critical_path_prints_p999(trace_path, capsys):
     out = capsys.readouterr().out
     assert "end-to-end percentiles:" in out
     assert "p999=" in out
-
-
-# ----------------------------------------------------------------------
-# Load-report subcommands (report / top)
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def report_path(tmp_path_factory):
-    from benchmarks.load.harness import LoadConfig, stepped_search
-    from repro.obs.slo import SloSpec, evaluate_slo
-
-    config = LoadConfig(
-        workload="echo", n_agents=1_000, n_clients=2, duration=2.0, seed=5
-    )
-    entry, _ = stepped_search(config, [100.0])
-    # Ceilings/floor sized to the tiny fixture run, not the benchmark topology.
-    spec = SloSpec(
-        {"echo": {"latency": {"p50": 0.1, "p99": 0.5}, "throughput_floor": 50.0}}
-    )
-    verdicts = evaluate_slo(spec, {"echo": entry})
-    entry["slo"] = verdicts["workloads"]["echo"]
-    report = {
-        "pr": 8,
-        "mode": "quick",
-        "agents": 1_000,
-        "workloads": {"echo": entry},
-        "slo": verdicts,
-        "slo_spec": spec.to_dict(),
-    }
-    path = tmp_path_factory.mktemp("load") / "report.json"
-    path.write_text(json.dumps(report))
-    return str(path)
-
-
-def test_report_subcommand_renders_and_passes(report_path, capsys):
-    assert main(["report", report_path]) == 0
-    out = capsys.readouterr().out
-    assert "workload echo" in out
-    assert "rate ladder" in out
-    assert "overall SLO verdict: ok" in out
-
-
-def test_report_subcommand_fails_on_breach(report_path, tmp_path, capsys):
-    report = json.loads(open(report_path).read())
-    report["slo"]["ok"] = False
-    breached = tmp_path / "breached.json"
-    breached.write_text(json.dumps(report))
-    assert main(["report", str(breached)]) == 1
-
-
-def test_top_subcommand_replays_windows(report_path, capsys):
-    assert main(["top", report_path]) == 0
-    out = capsys.readouterr().out
-    assert "obs top — echo" in out
-    assert out.count("window ") >= 2
-    assert "in-flight" in out
-
-
-def test_top_subcommand_unknown_workload_fails(report_path, capsys):
-    with pytest.raises(KeyError):
-        main(["top", report_path, "-w", "nope"])

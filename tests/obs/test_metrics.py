@@ -94,29 +94,3 @@ def test_exact_histogram_merge():
     before = left.count
     left.merge(Histogram())
     assert left.count == before
-
-
-def test_streaming_mode_swaps_histogram_type():
-    from repro.obs import StreamingHistogram
-
-    metrics = Metrics(streaming=True)
-    metrics.observe("latency", 0.25)
-    assert isinstance(metrics.histogram("latency"), StreamingHistogram)
-    assert isinstance(metrics.merged_histogram("latency"), StreamingHistogram)
-    exact = Metrics()
-    exact.observe("latency", 0.25)
-    assert isinstance(exact.histogram("latency"), Histogram)
-
-
-def test_attached_collector_sees_every_write():
-    from repro.obs import WindowedCollector
-
-    collector = WindowedCollector(window=1.0, clock=lambda: 0.5)
-    metrics = Metrics(streaming=True, collector=collector)
-    metrics.inc("reqs", node="a")
-    metrics.inc("reqs", node="b")
-    metrics.observe("latency", 0.25, node="a")
-    row = collector.rows()[0]
-    # Collector series are keyed by bare name: labels pool together.
-    assert row["reqs"] == 2
-    assert row["latency_count"] == 1
