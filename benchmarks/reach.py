@@ -22,9 +22,18 @@ entry point does.  Code
 kept on purpose as a reference (:data:`EXEMPT`) is left out of the
 figures and listed once.
 
+Python processes a step starts (the rt backend's spawned workers, CLI
+subprocesses) are profiled too: the step puts a directory holding a
+``sitecustomize.py`` first on its children's ``PYTHONPATH``, and that
+file installs the same hook in each of them and writes the functions it
+entered when the process exits.  :func:`collect` merges those files with
+the step's own.
+
 Known gaps: a test that installs its own profiler (the suite's traced
-self-tests use ``cProfile``) displaces the hook while it runs, and
-processes spawned by the rt backend are not profiled.
+self-tests use ``cProfile``) displaces the hook while it runs; a child
+that is killed rather than exiting (an rt worker that had to be
+terminated) writes nothing; and a child started with an environment of
+its own does not load the file.
 
 Usage (stdlib only; about five minutes on two cores)::
 
@@ -35,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import atexit
 import dis
 import glob
 import json
@@ -78,6 +88,20 @@ SUITE_WORKLOADS = (
 Key = Tuple[str, int, str]
 
 
+#: Set in the environment of a step's child processes: the directory
+#: each of them writes the keys it entered to, at exit.
+WORKER_DIR = "REPRO_REACH_WORKER_DIR"
+
+#: The ``sitecustomize.py`` a step puts first on its children's path.
+SITECUSTOMIZE = """import os
+
+if os.environ.get(%r):
+    from benchmarks.reach import profile_worker
+
+    profile_worker()
+""" % WORKER_DIR
+
+
 def steps(trace_dir: str) -> Dict[str, List[str]]:
     """Set name -> the steps it runs (see :func:`run_step`); the trace CLI
     smoke writes and reads its files under *trace_dir*."""
@@ -112,24 +136,64 @@ def steps(trace_dir: str) -> Dict[str, List[str]]:
 # ----------------------------------------------------------------------
 # One step, in a child interpreter
 # ----------------------------------------------------------------------
-def run_step(step: str) -> Set[Key]:
+def hook() -> Set[object]:
+    """Install the profile hook in this interpreter; returns the set it
+    fills with the code objects entered."""
+    entered: Set[object] = set()
+    add = entered.add
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            add(frame.f_code)
+
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    return entered
+
+
+def unhook(entered: Set[object]) -> Set[Key]:
+    """Remove the hook; return the ``src`` functions among *entered*."""
+    sys.setprofile(None)
+    threading.setprofile(None)
+    keys: Set[Key] = set()
+    for code in entered:
+        path = os.path.realpath(code.co_filename)
+        if path.startswith(PACKAGE + os.sep):
+            keys.add((os.path.relpath(path, PACKAGE), code.co_firstlineno, _name(code)))
+    return keys
+
+
+def profile_worker() -> None:
+    """Profile this child process of a step until it exits (called from
+    :data:`SITECUSTOMIZE`)."""
+    entered = hook()
+    out = os.path.join(os.environ[WORKER_DIR], "worker-%d.json" % os.getpid())
+
+    def dump() -> None:
+        keys = unhook(entered)
+        with open(out, "w") as handle:
+            json.dump(sorted(keys), handle)
+
+    atexit.register(dump)
+
+
+def run_step(step: str, worker_dir: str) -> Set[Key]:
     """Run *step* under the hook; return the ``src`` functions entered.
 
     ``pytest:ARGS`` runs pytest, ``module:NAME ARGS`` runs
     ``python -m NAME ARGS`` and ``script:PATH ARGS`` a script, both as
-    ``__main__``.
+    ``__main__``.  Python processes it starts write their keys under
+    *worker_dir*.
     """
     kind, _, rest = step.partition(":")
     argv = rest.split()
-    entered: Set[object] = set()
-    add = entered.add
-
-    def hook(frame, event, _arg):
-        if event == "call":
-            add(frame.f_code)
-
-    threading.setprofile(hook)
-    sys.setprofile(hook)
+    site = os.path.join(worker_dir, "site")
+    os.makedirs(site)
+    with open(os.path.join(site, "sitecustomize.py"), "w") as handle:
+        handle.write(SITECUSTOMIZE)
+    os.environ[WORKER_DIR] = worker_dir
+    os.environ["PYTHONPATH"] = os.pathsep.join([site, os.environ.get("PYTHONPATH", "")])
+    entered = hook()
     try:
         if kind == "pytest":
             import pytest
@@ -144,18 +208,13 @@ def run_step(step: str) -> Set[Key]:
     except SystemExit:
         pass
     finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
-    keys: Set[Key] = set()
-    for code in entered:
-        path = os.path.realpath(code.co_filename)
-        if path.startswith(PACKAGE + os.sep):
-            keys.add((os.path.relpath(path, PACKAGE), code.co_firstlineno, _name(code)))
+        keys = unhook(entered)
     return keys
 
 
 def collect(step: str) -> Set[Key]:
-    """Run one step in a fresh interpreter and read back its keys."""
+    """Run one step in a fresh interpreter and read back its keys, and
+    those of every process it started."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "keys.json")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, ROOT]))
@@ -168,8 +227,11 @@ def collect(step: str) -> Set[Key]:
         )
         if not os.path.exists(out):
             raise SystemExit("step %r wrote no result" % step)
-        with open(out) as handle:
-            return {tuple(key) for key in json.load(handle)}
+        keys: Set[Key] = set()
+        for path in [out] + glob.glob(os.path.join(tmp, "worker-*.json")):
+            with open(path) as handle:
+                keys |= {tuple(key) for key in json.load(handle)}
+        return keys
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +334,7 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--out", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.step:
-        keys = run_step(args.step)
+        keys = run_step(args.step, os.path.dirname(args.out))
         with open(args.out, "w") as handle:
             json.dump(sorted(keys), handle)
         return 0

@@ -1,7 +1,6 @@
-"""Comparison baselines: MultiLisp futures, send/receive, RPC-only."""
+"""Comparison baselines: MultiLisp futures, send/receive."""
 
 from repro.baselines.futures import ErrorValue, FutureRuntime, MLFuture
-from repro.baselines.rpc_only import call_sequence, call_sequence_collect
 from repro.baselines.sendrecv import DatagramBatch, Mailbox, PairingTable
 
 __all__ = [
@@ -11,6 +10,4 @@ __all__ = [
     "MLFuture",
     "Mailbox",
     "PairingTable",
-    "call_sequence",
-    "call_sequence_collect",
 ]

@@ -7,7 +7,6 @@ from repro.compose.pipeline import (
     run_per_item,
     run_per_stream,
     run_phased,
-    run_vat_per_item,
     run_vat_phased,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "run_per_item",
     "run_per_stream",
     "run_phased",
-    "run_vat_per_item",
     "run_vat_phased",
 ]

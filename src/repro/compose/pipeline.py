@@ -15,13 +15,12 @@ declarative :class:`Pipeline` description:
 All three return the list of final-stage results in item order, so tests
 can assert they agree while benchmarks compare their costs.
 
-Two further runners are built on the promise *continuation* layer
-(:meth:`~repro.core.promise.Promise.when_resolved` and friends, PR 6)
-instead of blocking claims: :func:`run_vat_phased` is the Figure 3-1
-phase structure (:func:`run_phased` is a blocking claim on it) and
-:func:`run_vat_per_item` the per-item cascade, but neither consumes a
-waiting process per outstanding promise — each returns a promise for the
-result list, driven entirely by vat callbacks.
+A fourth runner is built on the promise *continuation* layer
+(:meth:`~repro.core.promise.Promise.when_resolved` and friends) instead
+of blocking claims: :func:`run_vat_phased` is the Figure 3-1 phase
+structure (:func:`run_phased` is a blocking claim on it), but it does
+not consume a waiting process per outstanding promise — it returns a
+promise for the result list, driven entirely by vat callbacks.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "run_per_stream",
     "run_per_item",
     "run_vat_phased",
-    "run_vat_per_item",
 ]
 
 
@@ -283,86 +281,4 @@ def run_vat_phased(ctx, pipeline: Pipeline, items: Sequence[Any]) -> Promise:
             step(0)
 
     start_stage(0, [None] * len(items), list(range(len(items))))
-    return run
-
-
-def run_vat_per_item(ctx, pipeline: Pipeline, items: Sequence[Any]) -> Promise:
-    """§4.3's per-item cascade as one continuation chain per item.
-
-    Where :func:`run_per_item` spawns a coenter arm (a full simulated
-    process, with its own agent and streams) per data item, this walks
-    every item down the cascade with ``when_resolved`` hops on the shared
-    context's streams — per-item overhead is one vat callback per stage
-    hop.  Items progress independently: item 0 may be claiming stage 2
-    while item 1 still waits on stage 0.
-
-    Returns a :class:`Promise` for the result list (skipped items
-    omitted, item order preserved); the first broken call or raising
-    filter breaks it.
-    """
-    env = ctx.env
-    run = Promise(env, label="vat_per_item")
-    count = len(items)
-    if count == 0:
-        run.resolve(Outcome.normal([]))
-        return run
-    results: List[Any] = [None] * count
-    dropped: set = set()
-    state = {"remaining": count}
-
-    def finish_one() -> None:
-        state["remaining"] -= 1
-        if state["remaining"] == 0 and not run.ready():
-            run.resolve(
-                Outcome.normal(
-                    [
-                        value
-                        for index, value in enumerate(results)
-                        if index not in dropped
-                    ]
-                )
-            )
-
-    def do_stage(index: int, item: Any, position: int, value: Any) -> None:
-        if run.ready():
-            return
-        if position == len(pipeline.stages):
-            results[index] = value
-            finish_one()
-            return
-        stage = pipeline.stages[position]
-        ref = ctx.lookup(stage.guardian, stage.handler)
-
-        def apply_and_call() -> None:
-            if run.ready():
-                return
-            try:
-                args = stage.filter(value, item)
-            except Exception as exc:
-                _break_run(run, exc, "filter %r" % stage.filter.name)
-                return
-            if args is SKIP:
-                dropped.add(index)
-                finish_one()
-                return
-            promise = ref.stream(*args)
-            ref.flush()
-
-            def on_outcome(outcome: Outcome) -> None:
-                if run.ready():
-                    return
-                if not outcome.is_normal:
-                    run.resolve(outcome)
-                    return
-                do_stage(index, item, position + 1, outcome.apply())
-
-            promise.on_resolved(on_outcome)
-
-        if stage.filter.cost > 0:
-            env.call_in(stage.filter.cost, apply_and_call)
-        else:
-            apply_and_call()
-
-    for index, item in enumerate(items):
-        do_stage(index, item, 0, None)
     return run

@@ -199,43 +199,6 @@ class Coenter:
                 process.callbacks.append(hook)
         return done
 
-    def as_promise(self):
-        """Run the coenter, viewed through the promise continuation layer.
-
-        Starts the arms exactly as :meth:`run` does (timing, termination
-        and stream-abandonment semantics are untouched) but returns a
-        :class:`~repro.core.promise.Promise` instead of a raw event, so a
-        coenter can participate in ``when_resolved`` chains and
-        ``Promise.all`` gathers without a process blocked on it.  The
-        promise fulfils with the list of arm results; it breaks with the
-        first arm exception — an :class:`~repro.core.exceptions.ArgusError`
-        rides the outcome verbatim, any other exception becomes a
-        ``failure`` outcome (promises can only carry Argus exceptions).
-        """
-        from repro.core.exceptions import ArgusError
-        from repro.core.outcome import Outcome
-        from repro.core.promise import Promise
-
-        done = self.run()
-        promise = Promise(self.env, label="coenter")
-
-        def settle(event: Event) -> None:
-            if event.ok:
-                promise.resolve(Outcome.normal(event.value))
-                return
-            event.defused = True
-            exc = event.value
-            if isinstance(exc, ArgusError):
-                promise.resolve(Outcome.exceptional(exc))
-            else:
-                promise.resolve(Outcome.failure("coenter arm raised %r" % (exc,)))
-
-        if done.triggered:
-            settle(done)
-        else:
-            done.callbacks.append(settle)
-        return promise
-
     def _run_arm(self, arm: _Arm, arm_ctx: Any, start_delay: float = 0.0):
         """The generator actually run as the arm's process."""
         if start_delay > 0:

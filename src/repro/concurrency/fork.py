@@ -66,7 +66,8 @@ def fork(
         if promise.ready():
             return
         if event.ok:
-            promise.resolve(_result_outcome(ptype, event.value))
+            returns = ptype.returns if ptype is not None else None
+            promise.resolve(Outcome.of_return(returns, event.value, "procedure"))
             return
         exc = event.value
         event.defused = True
@@ -82,22 +83,3 @@ def fork(
     else:
         process.callbacks.append(complete)
     return promise
-
-
-def _result_outcome(ptype: Optional[PromiseType], result: Any) -> Outcome:
-    if ptype is None:
-        if result is None:
-            return Outcome.normal()
-        return Outcome.normal(result)
-    count = len(ptype.returns)
-    if count == 0:
-        if result is not None:
-            return Outcome.failure("procedure returned a value but promise has no results")
-        return Outcome.normal()
-    if count == 1:
-        return Outcome.normal(result)
-    if not isinstance(result, tuple) or len(result) != count:
-        return Outcome.failure(
-            "procedure returned %r but promise declares %d results" % (result, count)
-        )
-    return Outcome.normal(*result)

@@ -44,50 +44,26 @@ continuation hops (see :func:`repro.obs.trace.mint_span`).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Optional, Tuple
 
 __all__ = ["Vat", "vat_of"]
-
-#: Initial ring capacity (entries).  Must be a power of two.
-_INITIAL_CAPACITY = 16
 
 
 class Vat:
     """One environment's idle queue of promise-continuation callbacks.
 
-    The queue is a preallocated ring buffer: one flat list holding three
-    slots per entry (``fn``, ``arg``, ``span``), indexed by monotonically
-    increasing head/tail counters masked down to a power-of-two capacity.
-    Enqueueing writes three slots; no tuple, node or other object is
-    allocated per entry, so a resolver flooding 10^5 continuations in
-    one burst costs zero garbage beyond the (amortized-doubling) ring
-    itself.  Slots are cleared as entries are consumed so the ring never
-    pins dead callbacks or arguments.
+    The queue is a :class:`collections.deque` of ``(fn, arg, span)``
+    tuples: one small tuple per entry, appended and popped from the left
+    in C, so a resolver flooding 10^5 continuations in one burst costs
+    no more than the tuples themselves.
     """
 
-    __slots__ = (
-        "env",
-        "_ring",
-        "_mask",
-        "_head",
-        "_tail",
-        "_scheduled",
-        "current_span",
-        "turns",
-        "callbacks_run",
-    )
+    __slots__ = ("env", "_queue", "_scheduled", "current_span", "turns", "callbacks_run")
 
     def __init__(self, env: Any) -> None:
         self.env = env
-        #: Flat ring storage: capacity * 3 slots.
-        self._ring: list = [None] * (_INITIAL_CAPACITY * 3)
-        #: capacity - 1; capacity is always a power of two, so ``index &
-        #: mask`` is the ring position of an absolute counter value.
-        self._mask = _INITIAL_CAPACITY - 1
-        #: Absolute counters of entries consumed (head) and enqueued
-        #: (tail).  They only ever increase; pending = tail - head.
-        self._head = 0
-        self._tail = 0
+        self._queue: deque = deque()
         self._scheduled = False
         #: Causal span context of the callback currently executing, or
         #: None outside a drain (observability only; never set unless the
@@ -100,14 +76,14 @@ class Vat:
 
     def __repr__(self) -> str:
         return "<Vat pending=%d turns=%d run=%d>" % (
-            self._tail - self._head,
+            len(self._queue),
             self.turns,
             self.callbacks_run,
         )
 
     def pending(self) -> int:
         """Number of callbacks waiting to run (for tests and stats)."""
-        return self._tail - self._head
+        return len(self._queue)
 
     # ------------------------------------------------------------------
     # Enqueueing
@@ -121,11 +97,12 @@ class Vat:
         """Queue ``fn(arg)`` to run as soon as the simulation is idle
         at the current timestamp.
 
-        Exactly one argument, by design: a queue entry is three flat ring
-        slots, and at 10^5 pending promises the resolver can flood the
-        queue in a single burst — a varargs tuple per entry would be
-        measurable in the benchmark's peak-memory comparison.  Bind extra
-        state in a closure if you need more.
+        Exactly one argument, by design: a queue entry is one
+        ``(fn, arg, span)`` tuple, and at 10^5 pending promises the
+        resolver can flood the queue in a single burst — a varargs tuple
+        per entry on top would be measurable in the benchmark's
+        peak-memory comparison.  Bind extra state in a closure if you
+        need more.
 
         *span*, if given, is the causal span context the callback should
         run under (it becomes :attr:`current_span` for the duration of
@@ -133,38 +110,10 @@ class Vat:
         drain on the kernel's callback lane; subsequent enqueues — and
         enqueues made from inside callbacks — ride the same drain.
         """
-        tail = self._tail
-        mask = self._mask
-        if tail - self._head > mask:  # ring full (pending == capacity)
-            self._grow()
-            mask = self._mask
-        ring = self._ring
-        base = (tail & mask) * 3
-        ring[base] = fn
-        ring[base + 1] = arg
-        ring[base + 2] = span
-        self._tail = tail + 1
+        self._queue.append((fn, arg, span))
         if not self._scheduled:
             self._scheduled = True
             self.env.call_soon(self._drain)
-
-    def _grow(self) -> None:
-        """Double the ring, re-seating pending entries at their new masked
-        positions.  Absolute head/tail counters are preserved, so handles
-        held across a grow (there are none today, but the drain loop's
-        local counter is one) stay valid."""
-        ring = self._ring
-        mask = self._mask
-        new_mask = (mask + 1) * 2 - 1
-        new_ring = [None] * ((new_mask + 1) * 3)
-        for index in range(self._head, self._tail):
-            src = (index & mask) * 3
-            dst = (index & new_mask) * 3
-            new_ring[dst] = ring[src]
-            new_ring[dst + 1] = ring[src + 1]
-            new_ring[dst + 2] = ring[src + 2]
-        self._ring = new_ring
-        self._mask = new_mask
 
     # ------------------------------------------------------------------
     # Draining
@@ -172,24 +121,15 @@ class Vat:
     def _drain(self) -> None:
         """Run every queued callback (including ones enqueued mid-drain).
 
-        ``self._ring``/``self._mask`` are re-read every iteration (a
-        callback that enqueues past capacity swaps them), and
-        ``self._head`` is advanced *before* each callback runs, so an
-        entry whose callback raises counts as consumed — exactly the
-        popleft-then-call semantics the deque implementation had.
+        Each entry is popped *before* its callback runs, so an entry
+        whose callback raises counts as consumed.
         """
-        head = self._head
+        queue = self._queue
+        popleft = queue.popleft
         count = 0
         try:
-            while head != self._tail:
-                ring = self._ring
-                base = (head & self._mask) * 3
-                fn = ring[base]
-                arg = ring[base + 1]
-                span = ring[base + 2]
-                ring[base] = ring[base + 1] = ring[base + 2] = None
-                head += 1
-                self._head = head
+            while queue:
+                fn, arg, span = popleft()
                 self.current_span = span
                 fn(arg)
                 count += 1
@@ -200,11 +140,11 @@ class Vat:
             self.callbacks_run += count
             tracer = self.env.tracer
             if tracer is not None:
-                tracer.emit("vat.turn", callbacks=count, pending=self._tail - head)
+                tracer.emit("vat.turn", callbacks=count, pending=len(queue))
             # A callback that escaped with an exception (strict monitors,
             # programming errors) aborts the drain; anything still queued
             # must get a fresh calendar slot so no continuation is lost.
-            if head != self._tail and not self._scheduled:
+            if queue and not self._scheduled:
                 self._scheduled = True
                 self.env.call_soon(self._drain)
 

@@ -60,6 +60,33 @@ class Outcome:
     def signal(cls, name: str, *sig_args: Any) -> "Outcome":
         return cls(exception=Signal(name, *sig_args))
 
+    @classmethod
+    def of_return(
+        cls, returns: Optional[Tuple[Any, ...]], result: Any, noun: str
+    ) -> "Outcome":
+        """The outcome of a handler or procedure that returned *result*.
+
+        *returns* is the declared result types: zero → *result* must be
+        None; one → any single value; several → a tuple of exactly that
+        length.  ``None`` means undeclared (an untyped fork): None is no
+        results, anything else is one.  *noun* ("handler", "procedure")
+        names the returner in the failure reason.
+        """
+        if returns is None:
+            return cls(results=() if result is None else (result,))
+        count = len(returns)
+        if count == 0:
+            if result is not None:
+                return cls.failure("%s returned a value but declares no results" % noun)
+            return cls(results=())
+        if count == 1:
+            return cls(results=(result,))
+        if not isinstance(result, tuple) or len(result) != count:
+            return cls.failure(
+                "%s returned %r but declares %d results" % (noun, result, count)
+            )
+        return cls(results=result)
+
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------

@@ -21,11 +21,10 @@ Beyond the paper's blocking ``claim``, this module provides a
 :meth:`Promise.when_fulfilled` and :meth:`Promise.when_broken` register
 callbacks dispatched through the environment's
 :class:`~repro.concurrency.vat.Vat`, returning *derived* promises for the
-callback results so chains compose; :meth:`Promise.all`,
-:meth:`Promise.any` and :meth:`Promise.race` gather many promises into
-one.  Continuations cost one vat-queue entry per registration instead of
-one simulated process per outstanding promise, which is what lets a
-single process hold 10^5+ pending promises
+callback results so chains compose; :meth:`Promise.all` gathers many
+promises into one.  Continuations cost one vat-queue entry per
+registration instead of one simulated process per outstanding promise,
+which is what lets a single process hold 10^5+ pending promises
 (``tests/concurrency/test_vat_stress.py`` measures exactly this difference).
 
 A blocked promise keeps everyone waiting on it in one field, ``_pending``:
@@ -101,7 +100,6 @@ class Promise:
         env: Environment,
         ptype: Optional[PromiseType] = None,
         label: str = "",
-        outcome: Optional[Outcome] = None,
     ) -> None:
         if ptype is not None and not isinstance(ptype, PromiseType):
             raise TypeError("ptype must be a PromiseType, got %r" % (ptype,))
@@ -119,44 +117,9 @@ class Promise:
         self._pending: Any = None
         #: Number of claim operations performed (used by benchmarks).
         self.claim_count = 0
-        if outcome is not None:
-            # Born ready (make_fulfilled / make_broken): the outcome is
-            # stored at construction and no resolve() transition ever
-            # happens, so the created event carries resolved=True for the
-            # lifecycle monitor's benefit.
-            if not isinstance(outcome, Outcome):
-                raise TypeError("outcome must be an Outcome, got %r" % (outcome,))
-            self._outcome = self._coerce(outcome)
         tracer = env.tracer
         if tracer is not None:
-            if self._outcome is not None:
-                tracer.emit(
-                    "promise.created", promise_id=self.promise_id, label=label, resolved=True
-                )
-            else:
-                tracer.emit("promise.created", promise_id=self.promise_id, label=label)
-
-    @classmethod
-    def make_fulfilled(
-        cls,
-        env: Environment,
-        *results: Any,
-        ptype: Optional[PromiseType] = None,
-        label: str = "",
-    ) -> "Promise":
-        """A promise born ready with a normal outcome (0install's ``return``)."""
-        return cls(env, ptype, label, outcome=Outcome.normal(*results))
-
-    @classmethod
-    def make_broken(
-        cls,
-        env: Environment,
-        exception: ArgusError,
-        ptype: Optional[PromiseType] = None,
-        label: str = "",
-    ) -> "Promise":
-        """A promise born ready with an exceptional outcome."""
-        return cls(env, ptype, label, outcome=Outcome.exceptional(exception))
+            tracer.emit("promise.created", promise_id=self.promise_id, label=label)
 
     def __repr__(self) -> str:
         tag = " %r" % self.label if self.label else ""
@@ -448,7 +411,7 @@ class Promise:
             derived.resolve(Outcome.normal(result))
 
     # ------------------------------------------------------------------
-    # Gathers (vat-dispatched)
+    # Gather (vat-dispatched)
     # ------------------------------------------------------------------
     @staticmethod
     def all(env: Environment, promises: Iterable["Promise"]) -> "Promise":
@@ -487,61 +450,4 @@ class Promise:
 
         for index, promise in enumerate(inputs):
             promise.on_resolved(arm(index))
-        return gathered
-
-    @staticmethod
-    def any(env: Environment, promises: Iterable["Promise"]) -> "Promise":
-        """A promise for the first *fulfilled* input's claim value.
-
-        Breaks only if every input breaks (with the first broken input's
-        outcome).  ``any`` of no promises breaks immediately with
-        ``failure``.
-        """
-        inputs = list(promises)
-        gathered = Promise(env, label="any[%d]" % len(inputs))
-        if not inputs:
-            gathered.resolve(Outcome.failure("any() of no promises"))
-            return gathered
-        state = {"remaining": len(inputs), "done": False, "broken": None}
-
-        def on_outcome(outcome: Outcome) -> None:
-            if state["done"]:
-                return
-            if outcome.is_normal:
-                state["done"] = True
-                gathered.resolve(outcome)
-                return
-            if state["broken"] is None:
-                state["broken"] = outcome
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                state["done"] = True
-                gathered.resolve(state["broken"])
-
-        for promise in inputs:
-            promise.on_resolved(on_outcome)
-        return gathered
-
-    @staticmethod
-    def race(env: Environment, promises: Iterable["Promise"]) -> "Promise":
-        """A promise settling exactly like the first input to resolve.
-
-        Ties (several inputs already ready, or resolved at the same
-        timestamp) go to the earliest-registered input — vat FIFO order.
-        ``race`` of no promises breaks immediately with ``failure``.
-        """
-        inputs = list(promises)
-        gathered = Promise(env, label="race[%d]" % len(inputs))
-        if not inputs:
-            gathered.resolve(Outcome.failure("race() of no promises"))
-            return gathered
-        state = {"done": False}
-
-        def on_outcome(outcome: Outcome) -> None:
-            if not state["done"]:
-                state["done"] = True
-                gathered.resolve(outcome)
-
-        for promise in inputs:
-            promise.on_resolved(on_outcome)
         return gathered

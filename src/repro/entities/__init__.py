@@ -2,7 +2,7 @@
 
 from repro.entities.agents import Agent
 from repro.entities.context import ActivityContext
-from repro.entities.dispatch import GroupDispatcher, normalize_result
+from repro.entities.dispatch import GroupDispatcher
 from repro.entities.guardian import Guardian, TransportEndpoint
 from repro.entities.ports import HandlerRef, Port, PortGroup
 from repro.entities.system import ArgusSystem
@@ -17,5 +17,4 @@ __all__ = [
     "Port",
     "PortGroup",
     "TransportEndpoint",
-    "normalize_result",
 ]

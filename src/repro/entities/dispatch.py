@@ -20,6 +20,7 @@ completed and is unaffected (§2).
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, Deque, Optional, Tuple
 
 from repro.core.exceptions import Failure, Signal, Unavailable
@@ -28,35 +29,13 @@ from repro.encoding.errors import DecodeError
 from repro.encoding.transmit import ArgsCodec, OutcomeCodec
 from repro.sim.process import Interrupt, ProcessKilled
 from repro.streams.receiver import CallDispatcher, StreamReceiver
-from repro.types.signatures import HandlerType
 
-__all__ = ["GroupDispatcher", "normalize_result"]
-
-
-def normalize_result(handler_type: HandlerType, result: Any) -> Outcome:
-    """Turn a handler's Python return value into a normal outcome.
-
-    Zero declared results → the handler must return None; one → any single
-    value; several → a tuple of exactly that length.
-    """
-    count = len(handler_type.returns)
-    if count == 0:
-        if result is not None:
-            return Outcome.failure(
-                "handler returned a value but declares no results"
-            )
-        return Outcome.normal()
-    if count == 1:
-        return Outcome.normal(result)
-    if not isinstance(result, tuple) or len(result) != count:
-        return Outcome.failure(
-            "handler returned %r but declares %d results" % (result, count)
-        )
-    return Outcome.normal(*result)
+__all__ = ["GroupDispatcher"]
 
 
 class GroupDispatcher(CallDispatcher):
-    """Sequential executor for the calls of one stream."""
+    """Executor for the calls of one stream, one at a time in call order
+    (or overlapped, for a parallel group)."""
 
     def __init__(self, guardian: Any, group: Any) -> None:
         self.guardian = guardian
@@ -85,8 +64,7 @@ class GroupDispatcher(CallDispatcher):
             return
         self._queue.append((receiver, seq, port_id, args_bytes, kind, span))
         if self._driver is None or self._driver.triggered:
-            runner = self._run_parallel() if self.group.parallel else self._run()
-            self._driver = self.env.process(runner)
+            self._driver = self.env.process(self._run())
 
     def stop(self, reason: str) -> None:
         """The stream broke or was superseded: drop queued calls (they are
@@ -105,6 +83,14 @@ class GroupDispatcher(CallDispatcher):
     # Driver
     # ------------------------------------------------------------------
     def _run(self):
+        """Start each queued call in its own process.
+
+        A sequential group waits for each call before starting the next;
+        a parallel group (the §2.1 override) starts every queued call at
+        once and lets the stream receiver re-serialize the outcomes, so
+        replies still travel in call order even though execution overlaps.
+        """
+        parallel = self.group.parallel
         while self._queue and not self._stopped and self.guardian.alive:
             receiver, seq, port_id, args_bytes, kind, span = self._queue.popleft()
 
@@ -127,24 +113,37 @@ class GroupDispatcher(CallDispatcher):
             process = self.guardian.spawn_handler(port, args, span=span)
             self._emit_executing(receiver, seq, port_id, span, process)
             self._running.append(process)
+            call = (receiver, seq, kind, port, span)
+            if parallel:
+                process.callbacks.append(partial(self._complete, call))
+                continue
             try:
-                result = yield process
-            except Signal as sig:
-                outcome = Outcome.exceptional(sig)
-            except (Unavailable, Failure) as exc:
-                outcome = Outcome.exceptional(type(exc)(*exc.args))
+                yield process
             except (ProcessKilled, Interrupt):
                 return  # guardian crashed out from under us
-            except Exception as exc:  # a bug in handler code
+            except Exception:
+                pass  # the handler's own exception: _complete maps it
+            self._complete(call, process)
+
+    def _complete(self, call: Tuple, event: Any) -> None:
+        """Post the outcome of the finished handler process *event*."""
+        receiver, seq, kind, port, span = call
+        self._running = [p for p in self._running if p.is_alive]
+        if event.ok:
+            outcome = Outcome.of_return(port.handler_type.returns, event.value, "handler")
+        else:
+            exc = event.value
+            event.defused = True
+            if isinstance(exc, Signal):
+                outcome = Outcome.exceptional(exc)
+            elif isinstance(exc, (Unavailable, Failure)):
+                outcome = Outcome.exceptional(type(exc)(*exc.args))
+            elif isinstance(exc, (ProcessKilled, Interrupt)):
+                return  # guardian crashed; no reply will be sent
+            else:  # a bug in handler code
                 outcome = Outcome.failure("handler crashed: %r" % (exc,))
-            else:
-                outcome = normalize_result(port.handler_type, result)
-            finally_running = [p for p in self._running if p.is_alive]
-            self._running = finally_running
-            self._emit_completed(receiver, seq, span, outcome)
-            receiver.post_outcome(
-                seq, outcome, kind, OutcomeCodec.for_type(port.handler_type)
-            )
+        self._emit_completed(receiver, seq, span, outcome)
+        receiver.post_outcome(seq, outcome, kind, OutcomeCodec.for_type(port.handler_type))
 
     def _emit_executing(self, receiver, seq, port_id, span, process) -> None:
         tracer = self.env.tracer
@@ -172,61 +171,3 @@ class GroupDispatcher(CallDispatcher):
                 trace_id=span[0] if span is not None else None,
                 span_id=span[1] if span is not None else None,
             )
-
-    # ------------------------------------------------------------------
-    # Parallel driver (the §2.1 override)
-    # ------------------------------------------------------------------
-    def _run_parallel(self):
-        """Start every queued call immediately, in its own process.
-
-        The stream receiver re-serializes outcomes, so replies still
-        travel in call order even though execution overlaps.
-        """
-        while self._queue and not self._stopped and self.guardian.alive:
-            receiver, seq, port_id, args_bytes, kind, span = self._queue.popleft()
-
-            port = self.group.lookup(port_id)
-            if port is None:
-                receiver.fail_call(seq, "handler does not exist: %s" % port_id, kind)
-                continue
-            try:
-                args = ArgsCodec.for_type(port.handler_type).decode(args_bytes)
-            except DecodeError as exc:
-                receiver.decode_failure(seq, kind, exc)
-                continue
-
-            overhead = self.guardian.system.process_spawn_overhead
-            if overhead > 0:
-                yield self.env.timeout(overhead)
-            process = self.guardian.spawn_handler(port, args, span=span)
-            self._emit_executing(receiver, seq, port_id, span, process)
-            self._running.append(process)
-            self._hook_completion(process, receiver, seq, kind, port, span)
-
-    def _hook_completion(
-        self, process, receiver, seq: int, kind: str, port, span
-    ) -> None:
-        def complete(event) -> None:
-            self._running = [p for p in self._running if p.is_alive]
-            if event.ok:
-                outcome = normalize_result(port.handler_type, event.value)
-            else:
-                exc = event.value
-                event.defused = True
-                if isinstance(exc, Signal):
-                    outcome = Outcome.exceptional(exc)
-                elif isinstance(exc, (Unavailable, Failure)):
-                    outcome = Outcome.exceptional(type(exc)(*exc.args))
-                elif isinstance(exc, (ProcessKilled, Interrupt)):
-                    return  # guardian crashed; no reply will be sent
-                else:
-                    outcome = Outcome.failure("handler crashed: %r" % (exc,))
-            self._emit_completed(receiver, seq, span, outcome)
-            receiver.post_outcome(
-                seq, outcome, kind, OutcomeCodec.for_type(port.handler_type)
-            )
-
-        if process.triggered:
-            complete(process)
-        else:
-            process.callbacks.append(complete)

@@ -15,7 +15,6 @@ time per byte.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 __all__ = ["Message", "HEADER_BYTES"]
@@ -23,14 +22,11 @@ __all__ = ["Message", "HEADER_BYTES"]
 #: Fixed per-datagram header cost in bytes (addressing, checksums, ...).
 HEADER_BYTES = 64
 
-_message_ids = itertools.count(1)
-
 
 class Message:
     """One physical datagram travelling between two nodes."""
 
     __slots__ = (
-        "msg_id",
         "src",
         "dst",
         "address",
@@ -51,7 +47,6 @@ class Message:
     ) -> None:
         if payload_bytes < 0:
             raise ValueError("payload_bytes must be >= 0, got %r" % (payload_bytes,))
-        self.msg_id = next(_message_ids)
         self.src = src
         self.dst = dst
         self.address = address
@@ -71,8 +66,7 @@ class Message:
         self.dst_incarnation: int = -1
 
     def __repr__(self) -> str:
-        return "<Message #%d %s->%s/%s %dB>" % (
-            self.msg_id,
+        return "<Message %s->%s/%s %dB>" % (
             self.src,
             self.dst,
             self.address,

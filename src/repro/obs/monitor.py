@@ -35,7 +35,6 @@ from repro.obs.trace import (
     EV_CALL_BUFFERED,
     EV_CALL_DELIVERED,
     EV_PROMISE_CLAIMED,
-    EV_PROMISE_CREATED,
     EV_PROMISE_RESOLVED,
 )
 
@@ -177,14 +176,7 @@ class PromiseLifecycleMonitor(Monitor):
         promise_id = fields.get("promise_id")
         if promise_id is None:
             return  # synthetic/partial event: nothing to check
-        if etype == EV_PROMISE_CREATED:
-            # A promise born ready (make_fulfilled / make_broken) never
-            # emits promise.resolved: its creation *is* its resolution.
-            # Without this, a continuation-driven claim of such a promise
-            # would misreport as claim-before-resolve.
-            if fields.get("resolved"):
-                self._resolved.add(promise_id)
-        elif etype == EV_PROMISE_RESOLVED:
+        if etype == EV_PROMISE_RESOLVED:
             if promise_id in self._resolved:
                 self.report(
                     "promise #%d resolved twice" % promise_id, time, etype, fields

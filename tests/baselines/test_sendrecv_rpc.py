@@ -1,20 +1,9 @@
-"""Send/receive and RPC-only baselines (§5)."""
+"""Send/receive baseline (§5)."""
 
 import pytest
 
-from repro.baselines import (
-    DatagramBatch,
-    Mailbox,
-    PairingTable,
-    call_sequence,
-    call_sequence_collect,
-)
-from repro.core import Signal
-from repro.entities import ArgusSystem
+from repro.baselines import DatagramBatch, Mailbox, PairingTable
 from repro.net import Network
-from repro.types import INT, HandlerType
-
-from ..conftest import run_client
 
 
 def build_mailbox_pair(env, **kwargs):
@@ -116,64 +105,3 @@ def test_batched_datagrams_reduce_message_count(env):
 def test_batch_size_accounts_entries(env):
     batch = DatagramBatch([(1, None, 100), (2, None, 50)])
     assert batch.size == 16 + (16 + 100) + (16 + 50)
-
-
-# ----------------------------------------------------------------------
-# RPC-only helpers
-# ----------------------------------------------------------------------
-def build_echo_system():
-    system = ArgusSystem(latency=1.0, kernel_overhead=0.1)
-    server = system.create_guardian("server")
-
-    def echo(ctx, x):
-        yield ctx.compute(0.1)
-        if x < 0:
-            raise Signal("negative")
-        return x
-
-    server.create_handler(
-        "echo", HandlerType(args=[INT], returns=[INT], signals={"negative": []}), echo
-    )
-    return system
-
-
-def test_call_sequence_is_strictly_synchronous():
-    system = build_echo_system()
-
-    def main(ctx):
-        ref = ctx.lookup("server", "echo")
-        results = yield from call_sequence(ctx, ref, [(1,), (2,), (3,)])
-        return (results, ctx.now)
-
-    results, duration = run_client(system, main)
-    assert results == [1, 2, 3]
-    # Three full round trips: no overlap possible.
-    assert duration > 3 * 2.0
-
-
-def test_call_sequence_stops_at_first_exception():
-    system = build_echo_system()
-
-    def main(ctx):
-        ref = ctx.lookup("server", "echo")
-        try:
-            yield from call_sequence(ctx, ref, [(1,), (-1,), (3,)])
-        except Signal as sig:
-            return sig.condition
-
-    assert run_client(system, main) == "negative"
-
-
-def test_call_sequence_collect_gathers_outcomes():
-    system = build_echo_system()
-
-    def main(ctx):
-        ref = ctx.lookup("server", "echo")
-        results = yield from call_sequence_collect(ctx, ref, [(1,), (-1,), (3,)])
-        return [(tag, getattr(value, "condition", value)) for tag, value in results]
-
-    assert run_client(system, main) == [
-        ("ok", 1),
-        ("exception", "negative"),
-        ("ok", 3),
-    ]

@@ -1,10 +1,9 @@
 """Vat-backed pipeline runners: equivalence with the blocking runners.
 
-Satellite 2 of PR 6: ``run_vat_phased`` must be *observably* the same
-program as ``run_phased`` — same results, same printed output, and the
-same wire-event sequence (the golden-equivalence test below) — while
-consuming no blocked process per outstanding promise.  ``run_vat_per_item``
-likewise agrees with ``run_per_item`` on results.
+``run_vat_phased`` must be *observably* the same program as
+``run_phased`` — same results, same printed output, and the same
+wire-event sequence (the golden-equivalence test below) — while
+consuming no blocked process per outstanding promise.
 
 The wire comparison strips ``promise_id`` from event fields: the vat
 world allocates extra promise serials for the run/gather/derived promises
@@ -22,9 +21,7 @@ from repro.compose import (
     Filter,
     Pipeline,
     Stage,
-    run_per_item,
     run_phased,
-    run_vat_per_item,
     run_vat_phased,
 )
 from repro.core.exceptions import Signal
@@ -141,16 +138,6 @@ def test_vat_phased_computes_correct_results():
     assert run_client(system, main) == EXPECTED
 
 
-def test_vat_per_item_computes_correct_results():
-    system = build_three_stage_world()
-
-    def main(ctx):
-        results = yield run_vat_per_item(ctx, make_pipeline(), list(range(8))).claim()
-        return results
-
-    assert run_client(system, main) == EXPECTED
-
-
 def test_vat_phased_finishes_at_the_same_time_as_phased():
     times = {}
     for name in ("blocking", "vat"):
@@ -167,44 +154,11 @@ def test_vat_phased_finishes_at_the_same_time_as_phased():
     assert times["vat"] == times["blocking"]
 
 
-def test_vat_per_item_overlaps_items():
-    times = {}
-    for name, use_vat in [("phased", False), ("per_item", True)]:
-        system = build_three_stage_world(stage_cost=1.0)
-
-        def main(ctx, use_vat=use_vat):
-            if use_vat:
-                yield run_vat_per_item(ctx, make_pipeline(), list(range(12))).claim()
-            else:
-                yield from run_phased(ctx, make_pipeline(), list(range(12)))
-            return ctx.now
-
-        times[name] = run_client(system, main)
-    # Items walk the cascade independently, so stages overlap across items.
-    assert times["per_item"] < times["phased"]
-
-
-def test_vat_per_item_agrees_with_blocking_per_item():
-    results = {}
-    for name in ("blocking", "vat"):
-        system = build_three_stage_world(stage_cost=0.3)
-
-        def main(ctx, name=name):
-            if name == "blocking":
-                out = yield from run_per_item(ctx, make_pipeline(), list(range(10)))
-            else:
-                out = yield run_vat_per_item(ctx, make_pipeline(), list(range(10))).claim()
-            return out
-
-        results[name] = run_client(system, main)
-    assert results["vat"] == results["blocking"]
-
-
 # ----------------------------------------------------------------------
 # filters: SKIP, cost, exceptions
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("runner", [run_vat_phased, run_vat_per_item])
+@pytest.mark.parametrize("runner", [run_vat_phased])
 def test_vat_runners_honour_skip(runner):
     system = build_three_stage_world()
 
@@ -227,7 +181,7 @@ def test_vat_runners_honour_skip(runner):
     assert run_client(system, main) == [(x + 100) * 2 for x in (0, 2, 4)]
 
 
-@pytest.mark.parametrize("runner", [run_vat_phased, run_vat_per_item])
+@pytest.mark.parametrize("runner", [run_vat_phased])
 def test_vat_runners_handle_empty_items(runner):
     system = build_three_stage_world()
 
@@ -276,7 +230,7 @@ def test_vat_phased_filter_cost_timing_matches_blocking():
     assert times["vat"] == times["blocking"]
 
 
-@pytest.mark.parametrize("runner", [run_vat_phased, run_vat_per_item])
+@pytest.mark.parametrize("runner", [run_vat_phased])
 def test_vat_runner_filter_exception_breaks_the_run(runner):
     system = build_three_stage_world()
 
@@ -294,7 +248,7 @@ def test_vat_runner_filter_exception_breaks_the_run(runner):
     assert run_client(system, main) == "failure"
 
 
-@pytest.mark.parametrize("runner", [run_vat_phased, run_vat_per_item])
+@pytest.mark.parametrize("runner", [run_vat_phased])
 def test_vat_runner_broken_call_breaks_the_run(runner):
     system = build_three_stage_world()
     bomb = system.create_guardian("bomb")

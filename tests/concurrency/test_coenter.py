@@ -285,73 +285,3 @@ def test_nested_coenter(system):
         return results
 
     assert run_client(system, main) == [3, 10]
-
-
-# ----------------------------------------------------------------------
-# as_promise: the coenter as a continuation-layer citizen (PR 6)
-# ----------------------------------------------------------------------
-def test_as_promise_fulfils_with_arm_results(system):
-    def arm(ctx, n):
-        yield ctx.sleep(n)
-        return n * 10
-
-    def main(ctx):
-        co = ctx.coenter()
-        co.arm(arm, 1)
-        co.arm(arm, 2)
-        chained = co.as_promise().when_fulfilled(lambda results: sum(results))
-        total = yield chained.claim()
-        return (total, ctx.now)
-
-    total, now = run_client(system, main)
-    assert total == 30
-    assert now == 2.0  # same termination time as co.run()
-
-
-def test_as_promise_breaks_with_argus_error(system):
-    def failing(ctx):
-        yield ctx.sleep(1.0)
-        raise Signal("arm_down")
-
-    def main(ctx):
-        co = ctx.coenter()
-        co.arm(failing)
-        recovered = co.as_promise().when_broken(lambda exc: exc.condition)
-        condition = yield recovered.claim()
-        return condition
-
-    assert run_client(system, main) == "arm_down"
-
-
-def test_as_promise_wraps_plain_exception_as_failure(system):
-    def buggy(ctx):
-        yield ctx.sleep(0.5)
-        raise ValueError("not an argus error")
-
-    def main(ctx):
-        co = ctx.coenter()
-        co.arm(buggy)
-        outcome = yield co.as_promise().wait()
-        return outcome.condition
-
-    assert run_client(system, main) == "failure"
-
-
-def test_as_promise_composes_with_gathers(system):
-    from repro.core import Promise
-
-    def arm(ctx, n):
-        yield ctx.sleep(n)
-        return n
-
-    def main(ctx):
-        first = ctx.coenter()
-        first.arm(arm, 1)
-        second = ctx.coenter()
-        second.arm(arm, 2)
-        second.arm(arm, 3)
-        gathered = Promise.all(ctx.env, [first.as_promise(), second.as_promise()])
-        results = yield gathered.claim()
-        return results
-
-    assert run_client(system, main) == [[1], [2, 3]]

@@ -1,21 +1,24 @@
-"""Ring-buffer mechanics of the vat's callback lane (PR 7).
+"""Queue mechanics of the vat's callback lane.
 
 The FIFO/turn semantics are covered by test_vat.py; these tests target
-the ring itself: growth past the initial capacity (including growth
-triggered from inside a drain), slot clearing, and the abort-resume
-path when a callback raises mid-drain.
+the queue itself: a large burst, a flood enqueued from inside a drain,
+the abort-resume path when a callback raises mid-drain, and the span
+carried per entry.
 """
 
 import pytest
 
-from repro.concurrency.vat import _INITIAL_CAPACITY, vat_of
+from repro.concurrency.vat import vat_of
 from repro.sim import Environment
+
+#: Larger than any small fixed buffer a queue might start with.
+BURST = 131
 
 
 def test_burst_past_initial_capacity_preserves_fifo():
     env = Environment()
     vat = vat_of(env)
-    n = _INITIAL_CAPACITY * 8 + 3
+    n = BURST
     ran = []
     for index in range(n):
         vat.do_soon(ran.append, index)
@@ -33,27 +36,17 @@ def test_grow_from_inside_a_drain_preserves_fifo():
     def fanout(tag):
         ran.append(tag)
         if tag == 0:
-            # Flood well past capacity while the drain loop is running:
-            # _ring/_mask swap under its feet and it must not care.
-            for index in range(_INITIAL_CAPACITY * 4):
+            # Flood the queue while the drain loop is running.
+            for index in range(BURST):
                 vat.do_soon(ran.append, ("child", index))
 
     vat.do_soon(fanout, 0)
     vat.do_soon(ran.append, 1)
     env.run()
     assert ran[:2] == [0, 1]
-    assert ran[2:] == [("child", index) for index in range(_INITIAL_CAPACITY * 4)]
+    assert ran[2:] == [("child", index) for index in range(BURST)]
     # The whole cascade settled in a single turn (documented guarantee).
     assert vat.turns == 1
-
-
-def test_consumed_slots_are_cleared():
-    env = Environment()
-    vat = vat_of(env)
-    for index in range(5):
-        vat.do_soon(lambda _: None, index)
-    env.run()
-    assert all(slot is None for slot in vat._ring)
 
 
 def test_exception_consumes_entry_and_resumes_remainder():

@@ -111,11 +111,11 @@ def test_continuations_cost_a_fraction_of_blocking_claim_processes():
     # The vat's memory claim: the promises exist either way, only the
     # consumer differs — a process blocked in claim() (generator, event
     # subscription, calendar entry) or one vat-queue entry.  Subtracting
-    # the no-consumer peak isolates the per-consumer cost: 13-16x at
-    # n=10^4 on CPython 3.11.  The ratio is a small difference of large
-    # peaks, so it moves with n (about 20x at 10^5) and with what warmed
-    # the allocator before (9.6x has been read at this n, so 10x is not
-    # a safe floor); 5x holds with room on every reading.
+    # the no-consumer peak isolates the per-consumer cost: 8-10x at
+    # n=10^4 on CPython 3.11, one (fn, arg, span) queue tuple per
+    # continuation.  The ratio is a small difference of large peaks, so
+    # it moves with n and with what warmed the allocator before; 5x
+    # holds with room on every reading.
     n = 10_000
 
     def no_consumer(env, state):

@@ -234,7 +234,8 @@ def test_resolve_wakes_waiters_in_registration_order(env):
 def test_ready_claim_resumes_before_a_later_call_soon(env):
     """A claim on a ready promise is scheduled at the claim itself, so it
     resumes ahead of anything the claimer schedules after it."""
-    promise = Promise.make_fulfilled(env, 3)
+    promise = Promise(env)
+    promise.resolve_normal(3)
     log = []
 
     def claimer():

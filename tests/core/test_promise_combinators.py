@@ -1,8 +1,8 @@
-"""Property tests for the promise combinator algebra (PR 6, satellite 1).
+"""Property tests for the promise combinator algebra.
 
 Seeded randomized tests (plain ``random.Random``, no hypothesis): the
 invariants of ``when_resolved``/``when_fulfilled``/``when_broken`` and the
-``all``/``any``/``race`` gathers must hold for arbitrary mixes of fresh,
+``all`` gather must hold for arbitrary mixes of fresh,
 already-resolved, broken and duplicate inputs, and for callbacks
 registered before or after resolution.
 
@@ -10,7 +10,7 @@ The oracle for gather semantics is the *delivery order* the vat
 guarantees: continuations of already-ready promises fire in registration
 order, continuations of pending promises fire in resolution-time order.
 The generators below resolve every pending promise at a distinct time, so
-the expected winner of every gather is computable without touching
+the expected outcome of every gather is computable without touching
 kernel internals.
 """
 
@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.core.exceptions import PromiseError, Signal
+from repro.core.exceptions import Signal
 from repro.core.outcome import Outcome
 from repro.core.promise import Promise
 from repro.sim.kernel import Environment
@@ -28,6 +28,20 @@ N_SEEDS = 25
 
 def fresh_env():
     return Environment()
+
+
+def fulfilled(env, *results):
+    """A promise already resolved normally with *results*."""
+    promise = Promise(env)
+    promise.resolve(Outcome.normal(*results))
+    return promise
+
+
+def broken(env, exception):
+    """A promise already resolved exceptionally with *exception*."""
+    promise = Promise(env)
+    promise.resolve(Outcome.exceptional(exception))
+    return promise
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +92,7 @@ def test_when_resolved_fires_exactly_once(seed):
 
 def test_registration_is_never_synchronous():
     env = fresh_env()
-    ready = Promise.make_fulfilled(env, 42)
+    ready = fulfilled(env, 42)
     log = []
     ready.when_resolved(lambda outcome: log.append(outcome.results))
     ready.on_resolved(lambda outcome: log.append("raw"))
@@ -159,9 +173,9 @@ def test_chain_values_flow_and_flatten():
 
 def test_when_fulfilled_passes_broken_through():
     env = fresh_env()
-    broken = Promise.make_broken(env, Signal("boom"))
+    source = broken(env, Signal("boom"))
     skipped = []
-    derived = broken.when_fulfilled(lambda value: skipped.append(value))
+    derived = source.when_fulfilled(lambda value: skipped.append(value))
     env.run()
     assert skipped == []
     assert derived.outcome().exception.condition == "boom"
@@ -169,9 +183,9 @@ def test_when_fulfilled_passes_broken_through():
 
 def test_when_broken_recovers_and_passes_normal_through():
     env = fresh_env()
-    broken = Promise.make_broken(env, Signal("boom"))
-    recovered = broken.when_broken(lambda exc: "saw:%s" % exc.condition)
-    fine = Promise.make_fulfilled(env, 5)
+    source = broken(env, Signal("boom"))
+    recovered = source.when_broken(lambda exc: "saw:%s" % exc.condition)
+    fine = fulfilled(env, 5)
     untouched = fine.when_broken(lambda exc: "never")
     env.run()
     assert recovered.outcome().results == ("saw:boom",)
@@ -180,7 +194,7 @@ def test_when_broken_recovers_and_passes_normal_through():
 
 def test_callback_raising_argus_error_breaks_derived():
     env = fresh_env()
-    source = Promise.make_fulfilled(env, 1)
+    source = fulfilled(env, 1)
 
     def explode(value):
         raise Signal("deliberate")
@@ -192,23 +206,15 @@ def test_callback_raising_argus_error_breaks_derived():
 
 def test_callback_raising_plain_exception_becomes_failure():
     env = fresh_env()
-    source = Promise.make_fulfilled(env, 1)
+    source = fulfilled(env, 1)
     derived = source.when_fulfilled(lambda value: 1 / 0)
     env.run()
     outcome = derived.outcome()
     assert outcome.condition == "failure"
 
 
-def test_pre_resolved_constructors_resolve_once():
-    env = fresh_env()
-    ready = Promise.make_fulfilled(env, 3)
-    assert ready.ready() and ready.outcome().results == (3,)
-    with pytest.raises(PromiseError):
-        ready.resolve(Outcome.normal(4))
-
-
 # ----------------------------------------------------------------------
-# gathers: all / any / race
+# the all gather
 # ----------------------------------------------------------------------
 
 def _build_inputs(env, rng):
@@ -220,10 +226,10 @@ def _build_inputs(env, rng):
     for i in range(n):
         kind = rng.choice(["pending", "fulfilled", "broken"])
         if kind == "fulfilled":
-            base.append((Promise.make_fulfilled(env, i), "ok", i))
+            base.append((fulfilled(env, i), "ok", i))
         elif kind == "broken":
             base.append(
-                (Promise.make_broken(env, Signal("err%d" % i)), "err%d" % i, None)
+                (broken(env, Signal("err%d" % i)), "err%d" % i, None)
             )
         else:
             base.append((Promise(env), "ok", i))
@@ -272,8 +278,6 @@ def test_gather_semantics_match_delivery_order_oracle(seed):
     env = fresh_env()
     inputs, delivery = _build_inputs(env, rng)
     all_p = Promise.all(env, [p for p, _t, _v in inputs])
-    any_p = Promise.any(env, [p for p, _t, _v in inputs])
-    race_p = Promise.race(env, [p for p, _t, _v in inputs])
     env.run()
     tags = [inputs[k][1] for k in delivery]
     # all: first delivered error wins, else the values in input order.
@@ -284,20 +288,6 @@ def test_gather_semantics_match_delivery_order_oracle(seed):
         assert all_p.outcome().results == (
             [value for _p, _t, value in inputs],
         )
-    # any: first delivered ok wins; all-broken -> first delivered error.
-    first_ok = next(
-        (inputs[k][2] for k in delivery if inputs[k][1] == "ok"), None
-    )
-    if first_ok is not None:
-        assert any_p.outcome().results == (first_ok,)
-    else:
-        assert any_p.outcome().exception.condition == tags[0]
-    # race: settles exactly like the first delivery.
-    winner = inputs[delivery[0]]
-    if winner[1] == "ok":
-        assert race_p.outcome().results == (winner[2],)
-    else:
-        assert race_p.outcome().exception.condition == winner[1]
 
 
 def test_all_with_duplicates_counts_each_slot():
@@ -319,30 +309,6 @@ def test_all_breaks_as_soon_as_any_input_breaks():
     assert gathered.outcome().exception.condition == "early"
 
 
-def test_any_waits_for_a_fulfilment_past_breaks():
-    env = fresh_env()
-    first = Promise(env)
-    second = Promise(env)
-    gathered = Promise.any(env, [first, second])
-    first.resolve(Outcome.exceptional(Signal("nope")))
-    env.run()
-    assert not gathered.ready()  # one input still might fulfil
-    second.resolve(Outcome.normal("yes"))
-    env.run()
-    assert gathered.outcome().results == ("yes",)
-
-
 def test_empty_gathers():
     env = fresh_env()
     assert Promise.all(env, []).outcome().results == ([],)
-    assert Promise.any(env, []).outcome().condition == "failure"
-    assert Promise.race(env, []).outcome().condition == "failure"
-
-
-def test_race_tie_goes_to_first_registered():
-    env = fresh_env()
-    a = Promise.make_fulfilled(env, "a")
-    b = Promise.make_fulfilled(env, "b")
-    gathered = Promise.race(env, [b, a])
-    env.run()
-    assert gathered.outcome().results == ("b",)

@@ -7,7 +7,9 @@ concurrently, but promises still resolve in call order and replies still
 travel in call order.
 """
 
+import pytest
 
+from repro.core import ArgusError, Failure, Signal, Unavailable
 from repro.entities import ArgusSystem
 from repro.types import INT, HandlerType
 
@@ -96,37 +98,59 @@ def test_parallel_replies_still_resolve_in_call_order():
     assert server.state["completions"] == [1, 0]
 
 
-def test_parallel_exceptions_map_correctly():
+#: Handler ending -> what its caller claims: the value for a normal
+#: return, the condition name for an exception.  Both dispatch paths must
+#: give exactly this.
+ENDINGS = {
+    "normal": (4, 2),
+    "signal": "neg",
+    "failure": "failure",
+    "unavailable": "unavailable",
+    "crash": "failure",
+    "wrong_arity": "failure",
+}
+
+
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+@pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+def test_parallel_exceptions_map_correctly(parallel, ending):
     system = ArgusSystem(latency=1.0, kernel_overhead=0.05)
     server = system.create_guardian("server")
-    server.create_group("work", parallel=True)
+    server.create_group("work", parallel=parallel)
+    names = sorted(ENDINGS)
 
-    from repro.core import Signal
-
-    def moody(ctx, x, _d):
+    def moody(ctx, which):
         yield ctx.compute(0.1)
-        if x < 0:
+        name = names[which]
+        if name == "signal":
             raise Signal("neg")
-        return x
+        if name == "failure":
+            raise Failure("gave up")
+        if name == "unavailable":
+            raise Unavailable("busy")
+        if name == "crash":
+            raise ValueError("bug in handler")
+        if name == "wrong_arity":
+            return 4  # declares two results
+        return (4, 2)
 
     server.create_handler(
         "moody",
-        HandlerType(args=[INT, INT], returns=[INT], signals={"neg": []}),
+        HandlerType(args=[INT], returns=[INT, INT], signals={"neg": []}),
         moody,
         group="work",
     )
 
     def main(ctx):
         ref = ctx.lookup("server", "moody")
-        good = ref.stream(1, 0)
-        bad = ref.stream(-1, 0)
+        good = ref.stream(names.index("normal"))
+        tested = ref.stream(names.index(ending))
         ref.flush()
         value = yield good.claim()
         try:
-            yield bad.claim()
-            return "normal"
-        except Signal as sig:
-            return (value, sig.condition)
+            return value, (yield tested.claim())
+        except ArgusError as exc:
+            return value, exc.condition
 
     process = system.create_guardian("client").spawn(main)
-    assert system.run(until=process) == (1, "neg")
+    assert system.run(until=process) == ((4, 2), ENDINGS[ending])

@@ -210,19 +210,6 @@ def test_continuation_claim_after_resolve_is_clean():
     assert suite.violations == []
 
 
-def test_born_ready_promise_claim_is_clean():
-    """make_fulfilled / make_broken promises never emit promise.resolved;
-    their creation event carries resolved=True and counts as the
-    resolution (the PR 6 monitor fix)."""
-    env, tracer, suite = suite_on_fresh_tracer()
-    tracer.emit("promise.created", promise_id=3, label="", resolved=True)
-    tracer.emit("promise.claimed", promise_id=3, ready=True, via="continuation")
-    assert suite.violations == []
-    # ... and a later explicit resolve of that promise is still the bug.
-    with pytest.raises(MonitorViolation):
-        tracer.emit("promise.resolved", promise_id=3, status="normal", age=0.0, waiters=0)
-
-
 def test_plain_created_event_grants_nothing():
     env, tracer, suite = suite_on_fresh_tracer()
     tracer.emit("promise.created", promise_id=4, label="")
@@ -239,7 +226,8 @@ def test_continuation_run_keeps_monitors_clean_end_to_end(traced_env):
 
     env = traced_env
     promises = [Promise(env) for _ in range(20)]
-    ready = Promise.make_fulfilled(env, "seed")
+    ready = Promise(env)
+    ready.resolve(Outcome.normal("seed"))
     consumed = []
     ready.when_resolved(lambda outcome: consumed.append(outcome.results))
     for promise in promises:
