@@ -25,15 +25,17 @@ figures and listed once.
 Python processes a step starts (the rt backend's spawned workers, CLI
 subprocesses) are profiled too: the step puts a directory holding a
 ``sitecustomize.py`` first on its children's ``PYTHONPATH``, and that
-file installs the same hook in each of them and writes the functions it
-entered when the process exits.  :func:`collect` merges those files with
-the step's own.
+file installs the same hook in each of them, notes the child's start
+and writes the functions it entered when the process exits.
+:func:`collect` waits for every child that started to write them, and
+merges those files with the step's own; a child that ends without
+writing (one that was killed) fails the run, named.  The one child left
+unprofiled is ``multiprocessing``'s resource tracker: it runs only the
+standard library, and the suite's runner kills it.
 
 Known gaps: a test that installs its own profiler (the suite's traced
-self-tests use ``cProfile``) displaces the hook while it runs; a child
-that is killed rather than exiting (an rt worker that had to be
-terminated) writes nothing; and a child started with an environment of
-its own does not load the file.
+self-tests use ``cProfile``) displaces the hook while it runs, and a
+child started with an environment of its own does not load the file.
 
 Usage (stdlib only; about five minutes on two cores)::
 
@@ -54,6 +56,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from collections import defaultdict
 from typing import Dict, Iterator, List, Set, Tuple
 
@@ -71,6 +74,10 @@ EXEMPT = {
 
 #: Seconds each suite workload runs.
 SECONDS = 1
+
+#: Seconds :func:`collect` waits for a step's children to write their keys
+#: once the step itself has exited.
+CHILD_GRACE = 60
 
 SUITE_WORKLOADS = (
     "stream_echo",
@@ -165,16 +172,61 @@ def unhook(entered: Set[object]) -> Set[Key]:
 
 def profile_worker() -> None:
     """Profile this child process of a step until it exits (called from
-    :data:`SITECUSTOMIZE`)."""
+    :data:`SITECUSTOMIZE`): ``worker-PID.started`` holds its command line
+    from the start, ``worker-PID.json`` its keys from its exit on."""
+    argv = " ".join(getattr(sys, "orig_argv", []))  # Python 3.10+
+    if "multiprocessing.resource_tracker" in argv:
+        return
+    base = os.path.join(os.environ[WORKER_DIR], "worker-%d" % os.getpid())
+    with open(base + ".started", "w") as handle:
+        handle.write(argv)
     entered = hook()
-    out = os.path.join(os.environ[WORKER_DIR], "worker-%d.json" % os.getpid())
 
     def dump() -> None:
         keys = unhook(entered)
-        with open(out, "w") as handle:
+        with open(base + ".tmp", "w") as handle:
             json.dump(sorted(keys), handle)
+        os.replace(base + ".tmp", base + ".json")
 
     atexit.register(dump)
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def wait_for_children(step: str, worker_dir: str) -> None:
+    """Return once every child of *step* that started has written its
+    keys; exit naming those that ended without writing them, or that are
+    still running :data:`CHILD_GRACE` seconds on."""
+    deadline = time.monotonic() + CHILD_GRACE
+    while True:
+        waiting = {}  # worker-PID path stem -> PID
+        for path in glob.glob(os.path.join(worker_dir, "worker-*.started")):
+            base = path[: -len(".started")]
+            if not os.path.exists(base + ".json"):
+                waiting[base] = int(base.rpartition("-")[2])
+        if not waiting:
+            return
+        lost = [
+            base
+            for base, pid in waiting.items()
+            if not _running(pid) and not os.path.exists(base + ".json")
+        ]
+        if lost or time.monotonic() > deadline:
+            named = []
+            for base in lost or waiting:
+                with open(base + ".started") as handle:
+                    named.append("pid %d (%s)" % (waiting[base], handle.read()))
+            why = "ended without writing its keys" if lost else (
+                "still running %ds after the step" % CHILD_GRACE
+            )
+            raise SystemExit("step %r: child %s: %s" % (step, why, "; ".join(named)))
+        time.sleep(0.05)
 
 
 def run_step(step: str, worker_dir: str) -> Set[Key]:
@@ -227,6 +279,7 @@ def collect(step: str) -> Set[Key]:
         )
         if not os.path.exists(out):
             raise SystemExit("step %r wrote no result" % step)
+        wait_for_children(step, tmp)
         keys: Set[Key] = set()
         for path in [out] + glob.glob(os.path.join(tmp, "worker-*.json")):
             with open(path) as handle:

@@ -11,17 +11,15 @@
      automatically, and information about the error value propagates
      through the expression that caused the future to be claimed."
 
-This module reproduces both disadvantages faithfully so benchmark E7 can
-measure the first and the tests can demonstrate the second:
+This module reproduces both disadvantages so benchmark E7 can measure
+the first and the tests can demonstrate the second:
 
 * :meth:`FutureRuntime.touch` is the implicit claim.  It is applied to
-  *every* operand of every strict operation, charges ``check_cost``
-  simulated time per examination (the software tag check), and counts the
-  examinations;
+  *every* access, charges ``check_cost`` simulated time per examination
+  (the software tag check), and counts the examinations;
 * exceptions raised inside a future's computation become
-  :class:`ErrorValue` objects that silently propagate through further
-  strict operations, losing the original raise site by the time anyone
-  inspects them.
+  :class:`ErrorValue` objects, not raises: the claimer finds out only by
+  looking at the value.
 """
 
 from __future__ import annotations
@@ -37,9 +35,8 @@ __all__ = ["MLFuture", "ErrorValue", "FutureRuntime"]
 class ErrorValue:
     """An error turned into a value (MultiLisp error propagation).
 
-    ``history`` records each expression the error value flowed through —
-    illustrating why "it is difficult for a program to determine the
-    reason for the error value".
+    ``history`` records the expressions the error value came through,
+    which is all that is left of the reason for it.
     """
 
     __slots__ = ("cause", "history")
@@ -47,12 +44,6 @@ class ErrorValue:
     def __init__(self, cause: BaseException, history: Optional[List[str]] = None) -> None:
         self.cause = cause
         self.history = list(history or [])
-
-    def passed_through(self, where: str) -> "ErrorValue":
-        """Propagate through one more expression, extending the history."""
-        propagated = ErrorValue(self.cause, self.history)
-        propagated.history.append(where)
-        return propagated
 
     def __repr__(self) -> str:
         return "<ErrorValue %r via %r>" % (self.cause, self.history)
@@ -178,23 +169,3 @@ class FutureRuntime:
         else:
             after_check(None)
         return done
-
-    def strict_apply(self, name: str, fn: Callable, *operands: Any):
-        """Apply *fn* strictly: touch every operand first
-        (``yield from``-able).
-
-        If any operand turns out to be an :class:`ErrorValue`, the result
-        is that error value passed through this expression — no exception
-        is raised, exactly the behaviour §3.3 criticizes.
-        """
-        values = []
-        for operand in operands:
-            value = yield self.touch(operand)
-            values.append(value)
-        for value in values:
-            if isinstance(value, ErrorValue):
-                return value.passed_through(name)
-        try:
-            return fn(*values)
-        except Exception as exc:
-            return ErrorValue(exc, [name])

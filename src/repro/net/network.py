@@ -78,7 +78,7 @@ class NetworkStats:
 class Node:
     """A network node; guardians (entities) live entirely on one node."""
 
-    def __init__(self, network: "Network", name: str) -> None:
+    def __init__(self, network: "NodeTable", name: str) -> None:
         self.network = network
         self.name = name
         self.alive = True
@@ -140,48 +140,19 @@ class Node:
         # Datagrams to unknown addresses are silently dropped, like UDP.
 
 
-class Network:
-    """The collection of nodes plus the link cost/fault model."""
+class NodeTable:
+    """A network's node table and its same-node delivery.
 
-    def __init__(
-        self,
-        env: Environment,
-        latency: float = 1.0,
-        bandwidth: float = float("inf"),
-        kernel_overhead: float = 0.1,
-        jitter: float = 0.0,
-        loss_rate: float = 0.0,
-        rng: Optional[RngRegistry] = None,
-    ) -> None:
-        if latency < 0 or kernel_overhead < 0 or jitter < 0:
-            raise ValueError("latency, kernel_overhead and jitter must be >= 0")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1), got %r" % (loss_rate,))
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+    Both carriers extend it: the simulated :class:`Network` and the
+    real-socket :class:`~repro.rt.transport.TcpNetwork`.  A subclass
+    supplies ``send`` and ``tx_free_at`` for traffic between nodes.
+    """
+
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.latency = latency
-        self.bandwidth = bandwidth
-        self.kernel_overhead = kernel_overhead
-        self.jitter = jitter
-        self.loss_rate = loss_rate
-        self.rng = rng or RngRegistry(0)
         self.stats = NetworkStats()
-        #: Optional per-message chaos (drop/delay/dup/reorder); see
-        #: :class:`repro.net.faults.LinkFaultInjector`.  None keeps the
-        #: send path bit-identical to the fault-free simulator.
-        self.link_faults = None
         self._nodes: Dict[str, Node] = {}
-        self._partitions: Set[Tuple[str, str]] = set()
-        self._link_clock: Dict[Tuple[str, str], float] = {}
-        # Per-node "NIC" serialization: kernel calls and transmissions on one
-        # node happen one at a time, so per-message overhead is a genuine
-        # throughput limit that batching amortizes (paper §2).
-        self._nic_free: Dict[str, float] = {}
 
-    # ------------------------------------------------------------------
-    # Topology
-    # ------------------------------------------------------------------
     def add_node(self, name: str) -> Node:
         """Create a node named *name* (unique)."""
         if name in self._nodes:
@@ -200,6 +171,64 @@ class Network:
     def nodes(self) -> Tuple[Node, ...]:
         """All nodes, in creation order."""
         return tuple(self._nodes.values())
+
+    def _finish_local(self, message: Message, dst: Node) -> None:
+        # Same-node messages skip the network: no kernel call, no latency,
+        # delivered on the next simulation tick.
+        if dst.alive:
+            self.stats.messages_delivered += 1
+            tracer = self.env.tracer
+            if tracer is not None:
+                tracer.emit(
+                    "message.delivered",
+                    src=message.src,
+                    dst=message.dst,
+                    local=True,
+                    latency=self.env.now - message.send_time,
+                )
+            dst._deliver(message)
+
+    def _forget_node_clocks(self, name: str) -> None:
+        """Crash hook from :class:`Node`: drop the per-node clocks that a
+        carrier keeps (none here)."""
+
+
+class Network(NodeTable):
+    """The simulated carrier: the link cost and fault model."""
+
+    def __init__(
+        self,
+        env: Environment,
+        latency: float = 1.0,
+        bandwidth: float = float("inf"),
+        kernel_overhead: float = 0.1,
+        jitter: float = 0.0,
+        loss_rate: float = 0.0,
+        rng: Optional[RngRegistry] = None,
+    ) -> None:
+        if latency < 0 or kernel_overhead < 0 or jitter < 0:
+            raise ValueError("latency, kernel_overhead and jitter must be >= 0")
+        if not 0.0 <= loss_rate < 1.0:
+            raise ValueError("loss_rate must be in [0, 1), got %r" % (loss_rate,))
+        if bandwidth <= 0:
+            raise ValueError("bandwidth must be positive")
+        super().__init__(env)
+        self.latency = latency
+        self.bandwidth = bandwidth
+        self.kernel_overhead = kernel_overhead
+        self.jitter = jitter
+        self.loss_rate = loss_rate
+        self.rng = rng or RngRegistry(0)
+        #: Optional per-message chaos (drop/delay/dup/reorder); see
+        #: :class:`repro.net.faults.LinkFaultInjector`.  None keeps the
+        #: send path bit-identical to the fault-free simulator.
+        self.link_faults = None
+        self._partitions: Set[Tuple[str, str]] = set()
+        self._link_clock: Dict[Tuple[str, str], float] = {}
+        # Per-node "NIC" serialization: kernel calls and transmissions on one
+        # node happen one at a time, so per-message overhead is a genuine
+        # throughput limit that batching amortizes (paper §2).
+        self._nic_free: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Partitions
@@ -406,22 +435,6 @@ class Network:
     # Delivery (scheduled callbacks — no generator processes; see
     # DESIGN.md §8)
     # ------------------------------------------------------------------
-    def _finish_local(self, message: Message, dst: Node) -> None:
-        # Same-node messages skip the network: no kernel call, no latency,
-        # delivered on the next simulation tick.
-        if dst.alive:
-            self.stats.messages_delivered += 1
-            tracer = self.env.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "message.delivered",
-                    src=message.src,
-                    dst=message.dst,
-                    local=True,
-                    latency=self.env.now - message.send_time,
-                )
-            dst._deliver(message)
-
     def _arrive(self, message: Message, dst: Node) -> None:
         # Re-check conditions at arrival time: a partition or crash that
         # happened while the message was in flight still eats it.

@@ -4,11 +4,11 @@ The simulator (:mod:`repro.sim`) is the deterministic twin; this
 package binds the identical guardian/stream/promise machinery to real
 time and real TCP (DESIGN.md §14):
 
-* :class:`~repro.rt.clock.WallclockDriver` — paces an unmodified
-  :class:`~repro.sim.kernel.Environment` calendar against the asyncio
-  clock;
-* :class:`~repro.rt.transport.TcpNetwork` — the ``Network`` surface
-  over length-prefixed frames on reconnecting TCP connections, treated
+* :class:`~repro.rt.clock.WallclockDriver` — drains an unmodified
+  :class:`~repro.sim.kernel.Environment` with its own ``run``, in
+  slices paced by the asyncio clock;
+* :class:`~repro.rt.transport.TcpNetwork` — the simulator's node table
+  plus length-prefixed frames on reconnecting TCP connections, treated
   as a *lossy datagram carrier* (exactly-once comes from the stream
   transport above, as under simulation);
 * :class:`~repro.rt.host.RtHost` — one process of a deployment: the

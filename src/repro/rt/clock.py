@@ -3,21 +3,22 @@
 Every layer above the kernel — alarms, stream senders/receivers,
 promises, the vat, guardians — schedules exclusively through
 :class:`~repro.sim.kernel.Environment`'s calendar.  That makes the
-backend seam exactly one object wide: instead of
-:meth:`Environment.run` draining the calendar as fast as possible,
-:class:`WallclockDriver` drains it *paced against the asyncio clock*,
-firing each entry once real time has caught up with its simulated
-timestamp.  Nothing above the kernel changes; the same transport state
+backend seam exactly one object wide: :class:`WallclockDriver` drains
+the calendar with :meth:`Environment.run` itself, in slices bounded by
+the asyncio clock — each slice fires everything due by the mapped real
+"now" — and returns to the event loop between slices, so socket
+callbacks run there and the driver sleeps until the next entry comes
+due.  Nothing above the kernel changes; the same transport state
 machines that run deterministically under simulation run here against
 real sockets (DESIGN.md §14).
 
 Time mapping: one simulated time unit corresponds to ``time_unit`` real
 seconds (default 1 ms, so the stream transport's default RTO of 20 sim
 units becomes a 20 ms initial RTO).  The driver never lets simulated
-time run *ahead* of the mapped real clock; external happenings (frames
-arriving from a socket) enter the calendar through :meth:`inject`,
-which first advances simulated "now" to the mapped real time so timers
-armed afterwards measure genuine wallclock intervals.
+time run *ahead* of the mapped real clock, nor ever back; external
+happenings (frames arriving from a socket) enter the calendar through
+:meth:`inject`, which first advances simulated "now" to the mapped real
+time so timers armed afterwards measure genuine wallclock intervals.
 """
 
 from __future__ import annotations
@@ -25,14 +26,9 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Optional
 
-from repro.sim.kernel import EmptySchedule, Infinity, StopSimulation
-from repro.sim.kernel import _Stopper  # noqa: F401  (re-exported pattern)
+from repro.sim.kernel import Infinity, _Stopper
 
 __all__ = ["WallclockDriver", "WallclockTimeout"]
-
-#: Calendar entries fired back-to-back before yielding to the asyncio
-#: loop, so socket IO keeps flowing during a burst of due timers.
-_STEPS_PER_YIELD = 64
 
 
 class WallclockTimeout(Exception):
@@ -54,14 +50,14 @@ class WallclockDriver:
         self.loop = loop or asyncio.new_event_loop()
         #: Real seconds per simulated time unit.
         self.time_unit = time_unit
-        self._wake = asyncio.Event()
+        #: The future a sleeping drain awaits; :meth:`inject`,
+        #: :meth:`stop` or the sleep's own timer settles it.
+        self._waiter: Optional[asyncio.Future] = None
         #: loop.time() at which simulated time 0 sits; refreshed at the
         #: start of every drain so simulated time never jumps across the
         #: gaps between two ``run`` calls.
         self._t0: Optional[float] = None
         self._stopped = False
-        #: Entries fired, for tests and the bench report.
-        self.steps = 0
 
     # ------------------------------------------------------------------
     # Clock mapping
@@ -91,12 +87,17 @@ class WallclockDriver:
         if now > env._now:
             env._now = now
         env.call_soon(fn, *args)
-        self._wake.set()
+        self._wake()
 
     def stop(self) -> None:
         """Make the current (or next) drain return promptly."""
         self._stopped = True
-        self._wake.set()
+        self._wake()
+
+    def _wake(self) -> None:
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     # ------------------------------------------------------------------
     # Draining
@@ -116,9 +117,10 @@ class WallclockDriver:
         budget; exceeding it raises :class:`WallclockTimeout`.
         """
         env = self.env
+        loop = self.loop
         self._stopped = False
         self._rebase()
-        deadline = None if timeout is None else self.loop.time() + timeout
+        deadline = None if timeout is None else loop.time() + timeout
 
         stop_event = None
         limit = Infinity
@@ -132,62 +134,49 @@ class WallclockDriver:
         else:
             limit = float(until)
 
-        steps_since_yield = 0
         while not self._stopped:
-            t = env.peek()
-            # The next simulated moment anything happens: the next
-            # calendar entry, clamped by the run-until time bound.
-            target = t if t < limit else limit
+            if deadline is not None and loop.time() >= deadline:
+                raise WallclockTimeout("drain exceeded its %.3fs budget" % (timeout,))
+            now = self.real_now()
+            bound = now if now < limit else limit
+            if bound < env._now:
+                # A socket callback's inject() already carried "now" past
+                # the bound: the bound has passed, and what it queued
+                # waits for the next drain.
+                return None
+            # One slice: everything due by real "now".  A stop event that
+            # fires ends the slice early, with its value.
+            value = env.run(until=bound)
+            if stop_event is not None and stop_event.processed:
+                return value
+            if bound == limit:
+                return None
+            target = env.peek()
+            if target > limit:
+                target = limit
             if target == Infinity:
                 if idle_exit and stop_event is None:
                     return None
-                await self._wait(None, deadline)
-                continue
-            now = self.real_now()
-            if target > now:
-                await self._wait((target - now) * self.time_unit, deadline)
-                continue
-            if t > limit:
-                # Real time reached the bound with nothing due before it.
-                env._now = limit
-                return None
+                delay = None
+            else:
+                delay = (target - self.real_now()) * self.time_unit
+            if deadline is not None:
+                budget = deadline - loop.time()
+                delay = budget if delay is None or delay > budget else delay
+            # Back to the loop, so socket callbacks run between slices,
+            # until the next entry is due or inject()/stop() wakes us.
+            waiter = self._waiter = loop.create_future()
+            timer = None if delay is None else loop.call_later(delay, self._wake)
             try:
-                env.step()
-            except StopSimulation as stop:
-                return stop.value
-            except EmptySchedule:
-                continue
-            self.steps += 1
-            steps_since_yield += 1
-            if steps_since_yield >= _STEPS_PER_YIELD:
-                steps_since_yield = 0
-                if deadline is not None and self.loop.time() > deadline:
-                    raise WallclockTimeout(
-                        "drain exceeded its %.3fs budget" % (timeout,)
-                    )
-                # Let socket callbacks run between bursts of due timers.
-                await asyncio.sleep(0)
+                await waiter
+            finally:
+                self._waiter = None
+                if timer is not None:
+                    timer.cancel()
 
         if stop_event is not None and not stop_event.triggered:
             raise WallclockTimeout("driver stopped before %r fired" % (stop_event,))
         return None
-
-    async def _wait(self, delay: Optional[float], deadline: Optional[float]) -> None:
-        """Sleep until woken, *delay* elapses, or *deadline* passes."""
-        if deadline is not None:
-            budget = deadline - self.loop.time()
-            if budget <= 0:
-                raise WallclockTimeout("real-time budget exhausted")
-            delay = budget if delay is None else min(delay, budget)
-            timed_out_is_deadline = delay >= budget
-        else:
-            timed_out_is_deadline = False
-        self._wake.clear()
-        try:
-            await asyncio.wait_for(self._wake.wait(), delay)
-        except asyncio.TimeoutError:
-            if timed_out_is_deadline:
-                raise WallclockTimeout("real-time budget exhausted") from None
 
     # ------------------------------------------------------------------
     # Synchronous facade

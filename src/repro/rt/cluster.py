@@ -85,13 +85,17 @@ def _worker_main(
         pipe.close()
 
 
+def _failed(node: str, traceback: str) -> str:
+    return "worker %r failed:\n%s" % (node, traceback)
+
+
 def _recv(pipe, timeout: float, node: str) -> Tuple[str, Any]:
     """One guarded pipe read; raises :class:`ClusterError` on silence."""
     if not pipe.poll(timeout):
         raise ClusterError("worker %r sent nothing within %.1fs" % (node, timeout))
     kind, payload = pipe.recv()
     if kind == "error":
-        raise ClusterError("worker %r failed:\n%s" % (node, payload))
+        raise ClusterError(_failed(node, payload))
     return kind, payload
 
 
@@ -205,8 +209,21 @@ class RtCluster:
             raise ClusterError("; ".join(failures))
         return dict(self.worker_stats)
 
-    def kill(self) -> None:
-        """Hard-stop every worker (cleanup path; no stats, no traces)."""
+    def kill(self) -> Optional[ClusterError]:
+        """Hard-stop every worker (cleanup path; no stats, no traces).
+
+        Returns a :class:`ClusterError` carrying the traceback of every
+        worker that had already reported a failure (read without
+        waiting), or None when none had."""
+        failures = []
+        for node, pipe in self._pipes.items():
+            try:
+                while pipe.poll(0):
+                    kind, payload = pipe.recv()
+                    if kind == "error":
+                        failures.append(_failed(node, payload))
+            except (EOFError, OSError):
+                pass
         for proc in self._procs.values():
             if proc.is_alive():
                 proc.terminate()
@@ -214,6 +231,7 @@ class RtCluster:
             proc.join(5.0)
         self._procs.clear()
         self._pipes.clear()
+        return ClusterError("\n".join(failures)) if failures else None
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "RtCluster":

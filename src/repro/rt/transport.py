@@ -3,9 +3,12 @@
 :class:`TcpNetwork` is a drop-in for :class:`repro.net.network.Network`
 as seen by the layers above it — stream senders/receivers and guardian
 endpoints call exactly ``.send(message)``, ``.tx_free_at()``, ``.node()``,
-``.add_node()``, ``.stats`` and ``._forget_node_clocks()`` — but each
-packet travels as a length-prefixed frame (:mod:`repro.streams.frames`)
-over a TCP connection to the process hosting the destination node.
+``.add_node()``, ``.stats`` and ``._forget_node_clocks()``.  Both extend
+one :class:`~repro.net.network.NodeTable`, so the node table and
+same-node delivery are the simulator's own code; this module adds only
+the carrier between processes: each packet travels as a length-prefixed
+frame (:mod:`repro.streams.frames`) over a TCP connection to the process
+hosting the destination node.
 
 The crucial design point: **TCP is treated as an unreliable datagram
 carrier, not a reliability layer.**  A connection that drops loses the
@@ -30,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.encoding.errors import DecodeError
 from repro.net.message import Message
-from repro.net.network import NetworkStats, Node, NodeDown
+from repro.net.network import NodeDown, NodeTable
 from repro.streams.frames import (
     FrameAssembler,
     Hello,
@@ -87,14 +90,13 @@ class _Conn(asyncio.Protocol):
             self.transport.abort()
 
 
-class TcpNetwork:
+class TcpNetwork(NodeTable):
     """The ``Network`` surface of one process, over real sockets."""
 
     def __init__(self, driver, local_node: str) -> None:
+        super().__init__(driver.env)
         self.driver = driver
-        self.env = driver.env
         self.local_node = local_node
-        self.stats = NetworkStats()
         #: Frames that failed to decode (corrupt byte streams).
         self.stats_frames_corrupt = 0
         #: Connections torn down (either direction, any reason).
@@ -104,7 +106,6 @@ class TcpNetwork:
         self.stats_dial_failures = 0
         #: node name -> (host, port) for every *listening* peer process.
         self.book: Dict[str, Tuple[str, int]] = {}
-        self._nodes: Dict[str, Node] = {}
         #: peer node -> established connection (either direction).
         self._conns: Dict[str, _Conn] = {}
         #: peer node -> frames waiting while a dial is in progress.
@@ -114,28 +115,6 @@ class TcpNetwork:
         #: after this many outgoing frames, simulating flaky peers.
         self.reset_after_frames = 0
         self._frames_on_conn: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # Topology (the simulated-Network surface)
-    # ------------------------------------------------------------------
-    def add_node(self, name: str) -> Node:
-        if name in self._nodes:
-            raise ValueError("node %r already exists" % (name,))
-        node = Node(self, name)
-        self._nodes[name] = node
-        return node
-
-    def node(self, name: str) -> Node:
-        try:
-            return self._nodes[name]
-        except KeyError:
-            raise KeyError("no node named %r" % (name,)) from None
-
-    def nodes(self) -> Tuple[Node, ...]:
-        return tuple(self._nodes.values())
-
-    def _forget_node_clocks(self, name: str) -> None:
-        """Crash hook from :class:`Node`; no NIC clocks exist here."""
 
     # ------------------------------------------------------------------
     # Listening / dialing
@@ -189,8 +168,8 @@ class TcpNetwork:
         dst_name = message.dst
         local = self._nodes.get(dst_name)
         if local is not None:
-            # Same-process delivery: next calendar tick, like the
-            # simulator's same-node fast path.
+            # Same-process delivery: the simulator's same-node path,
+            # on the next calendar tick.
             env.call_soon(self._finish_local, message, local)
         else:
             stats = self.stats
@@ -279,20 +258,6 @@ class TcpNetwork:
         message = Message(src, dst, address, packet, nbytes)
         message.send_time = self.env._now
         node._deliver(message)
-
-    def _finish_local(self, message: Message, dst: Node) -> None:
-        if dst.alive:
-            self.stats.messages_delivered += 1
-            tracer = self.env.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "message.delivered",
-                    src=message.src,
-                    dst=message.dst,
-                    local=True,
-                    latency=self.env.now - message.send_time,
-                )
-            dst._deliver(message)
 
     # ------------------------------------------------------------------
     # Fault injection / shutdown

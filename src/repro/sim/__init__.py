@@ -7,7 +7,7 @@ queue under ``queue[pt]``.
 
 from repro.sim.alarm import Alarm
 from repro.sim.events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from repro.sim.kernel import EmptySchedule, Environment, Infinity
+from repro.sim.kernel import Environment, Infinity
 from repro.sim.process import Interrupt, Process, ProcessKilled
 from repro.sim.rng import RngRegistry
 from repro.sim.sync import BlockingQueue, QueueClosed
@@ -19,7 +19,6 @@ __all__ = [
     "BlockingQueue",
     "Condition",
     "ConditionValue",
-    "EmptySchedule",
     "Environment",
     "Event",
     "Infinity",

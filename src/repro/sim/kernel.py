@@ -40,7 +40,6 @@ from typing import Any, Callable, Generator, Iterable
 
 __all__ = [
     "Environment",
-    "EmptySchedule",
     "StopSimulation",
     "Infinity",
     "URGENT",
@@ -64,10 +63,6 @@ _EV = object()
 # the (hot, exact-class) Event/Timeout fire path without an import cycle.
 _EVENT_CLASS: Any = None
 _TIMEOUT_CLASS: Any = None
-
-
-class EmptySchedule(Exception):
-    """Raised by :meth:`Environment.step` when no events remain."""
 
 
 class StopSimulation(Exception):
@@ -244,44 +239,15 @@ class Environment:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Fire the single next entry.
-
-        Raises :class:`EmptySchedule` if the calendar is empty.  Takes the
-        entry off the front of its lane, so it costs O(lane length);
-        :meth:`run` is the way to drain in bulk.
-        """
-        times = self._times
-        if not times:
-            raise EmptySchedule()
-        t = times[0]
-        lane = self._lanes[t]
-        urgent = self._urgent
-        events = urgent.get(t)
-        if events is not None:
-            head = _EV
-            payload = events.pop(0)
-            if not events:
-                del urgent[t]
-        else:
-            head = lane[0]
-            payload = lane[1]
-            del lane[:2]
-        if not lane and t not in urgent:
-            heappop(times)
-            del self._lanes[t]
-        self._now = t
-        if head is _EV:
-            payload._fire(self)
-        else:
-            head(*payload)
-
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
         *until* may be ``None`` (run until the calendar drains), a number
         (run until that simulated time), or an event (run until it fires and
-        return its value).
+        return its value).  A run bounded by time also stops early, with
+        that event's value, when an event carrying a :class:`_Stopper`
+        fires first; the rest of its lane stays queued for the next run
+        (the wallclock driver drains in such slices).
         """
         stop_event = None
         if until is None:

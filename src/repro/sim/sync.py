@@ -83,15 +83,6 @@ class BlockingQueue:
         event.succeed()
         return event
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when full or closed."""
-        if self._closed is not None:
-            return False
-        if self.capacity is not None and len(self._items) >= self.capacity and not self._getters:
-            return False
-        self.put(item)
-        return True
-
     def get(self) -> Event:
         """Return an event yielding the oldest item; fails if queue closed."""
         event = Event(self.env)
@@ -105,19 +96,11 @@ class BlockingQueue:
         self._getters.append(event)
         return event
 
-    def try_get(self) -> Any:
-        """Non-blocking get; raises IndexError when empty."""
-        if not self._items:
-            raise IndexError("queue is empty")
-        item = self._items.popleft()
-        self._admit_putter()
-        return item
-
     def close(self, reason: Any = None) -> None:
         """Close the queue: all pending and future gets/puts fail.
 
-        Items already queued remain retrievable via :meth:`try_get` drain by
-        cleanup code, but blocked getters are failed immediately, which is
+        Items already queued remain retrievable through :meth:`get`, but
+        blocked getters are failed immediately, which is
         precisely how the coenter avoids the Figure 4-1 hang.
         """
         if self._closed is not None:

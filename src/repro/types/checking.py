@@ -30,7 +30,7 @@ from repro.types.signatures import (
     UserType,
 )
 
-__all__ = ["TypeViolation", "check_value", "conforms", "check_args", "check_results"]
+__all__ = ["TypeViolation", "check_value", "check_results"]
 
 
 class TypeViolation(TypeError):
@@ -43,15 +43,6 @@ class TypeViolation(TypeError):
         self.expected = expected
         self.value = value
         self.path = path
-
-
-def conforms(tp: Type, value: Any) -> bool:
-    """Predicate form of :func:`check_value`."""
-    try:
-        check_value(tp, value)
-        return True
-    except TypeViolation:
-        return False
 
 
 def check_value(tp: Type, value: Any, path: str = "value") -> None:
@@ -123,19 +114,6 @@ def check_value(tp: Type, value: Any, path: str = "value") -> None:
             raise TypeViolation(tp, value, path)
         return
     raise TypeError("unknown type descriptor %r" % (tp,))
-
-
-def check_args(handler_type: HandlerType, args: Sequence[Any]) -> None:
-    """Check a call's argument tuple against the handler type."""
-    if len(args) != len(handler_type.args):
-        raise TypeViolation(
-            ANY,
-            tuple(args),
-            "argument count (%d given, %d expected)"
-            % (len(args), len(handler_type.args)),
-        )
-    for i, (tp, value) in enumerate(zip(handler_type.args, args)):
-        check_value(tp, value, "argument %d" % i)
 
 
 def check_results(returns: Tuple[Type, ...], results: Sequence[Any]) -> None:

@@ -43,7 +43,10 @@ def test_every_access_is_examined(system):
     def main(ctx):
         total = 0
         for index in range(10):
-            total = yield from runtime.strict_apply("add", lambda a, b: a + b, total, index)
+            # A strict addition touches both of its operands.
+            a = yield runtime.touch(total)
+            b = yield runtime.touch(index)
+            total = a + b
         return total
 
     assert run_client(system, main) == 45
@@ -77,43 +80,6 @@ def test_exception_becomes_error_value_not_raise(system):
     value = run_client(system, main)
     assert isinstance(value, ErrorValue)
     assert isinstance(value.cause, Signal)
-
-
-def test_error_value_propagates_through_expressions(system):
-    """'information about the error value propagates through the
-    expression that caused the future to be claimed and then through
-    surrounding expressions' — making the origin hard to find."""
-    runtime = FutureRuntime(system.env)
-
-    def failing(ctx):
-        yield ctx.sleep(0.1)
-        raise Signal("root_cause")
-
-    def main(ctx):
-        future = runtime.future(ctx, failing)
-        a = yield from runtime.strict_apply("add", lambda x, y: x + y, future, 1)
-        b = yield from runtime.strict_apply("mul", lambda x, y: x * y, a, 2)
-        c = yield from runtime.strict_apply("sub", lambda x, y: x - y, b, 3)
-        return c
-
-    value = run_client(system, main)
-    assert isinstance(value, ErrorValue)
-    # The error value silently flowed through three expressions.
-    assert value.history == ["future body", "add", "mul", "sub"]
-
-
-def test_strict_apply_catches_direct_exception(system):
-    runtime = FutureRuntime(system.env)
-
-    def main(ctx):
-        value = yield from runtime.strict_apply(
-            "div", lambda a, b: a / b, 1, 0
-        )
-        return value
-
-    value = run_client(system, main)
-    assert isinstance(value, ErrorValue)
-    assert isinstance(value.cause, ZeroDivisionError)
 
 
 def test_wrap_promise_as_future(system):

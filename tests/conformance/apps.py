@@ -18,7 +18,7 @@ mini-Argus module.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.lang import Interpreter, load_module
 from repro.types.signatures import INT, ArrayOf, HandlerType
@@ -30,7 +30,9 @@ __all__ = [
     "ECHO_T",
     "APPEND_T",
     "DUMP_T",
+    "CLIENT_NODE",
     "ECHO_WORLD",
+    "LOCAL_ECHO_WORLD",
     "SEQ_WORLD",
     "client_exactly_once",
     "client_ordering",
@@ -42,6 +44,9 @@ __all__ = [
     "client_burst",
     "client_span_flow",
 ]
+
+#: The node both backends put the client guardian on.
+CLIENT_NODE = "node:client"
 
 ECHO_T = HandlerType(args=[INT], returns=[INT])
 APPEND_T = HandlerType(args=[INT], returns=[])
@@ -55,7 +60,10 @@ class World:
     function; ``topology`` maps guardian name -> {handler: type} so the
     wallclock client host can :meth:`~repro.rt.host.RtHost.declare` the
     remote handlers.  Guardian *g* always lives on node ``node:g`` —
-    the default both backends use.
+    the default both backends use.  ``local`` maps guardian name ->
+    setup for guardians on the client's own node, :data:`CLIENT_NODE`:
+    both backends build them beside the client, so calls to them take
+    the same-node delivery path.
     """
 
     def __init__(
@@ -63,18 +71,20 @@ class World:
         name: str,
         servers: Dict[str, Callable],
         topology: Dict[str, Dict[str, HandlerType]],
+        local: Optional[Dict[str, Callable]] = None,
     ) -> None:
         self.name = name
         self.servers = dict(servers)
         self.topology = {g: dict(h) for g, h in topology.items()}
+        self.local = dict(local or {})
 
 
 # ----------------------------------------------------------------------
 # Server guardians
 # ----------------------------------------------------------------------
-def setup_echo(owner) -> None:
+def setup_echo(owner, node: Optional[str] = None) -> None:
     """A pure-function guardian: ``echo(n) = 3n + 1``."""
-    guardian = owner.create_guardian("echo")
+    guardian = owner.create_guardian("echo", node)
 
     def echo_impl(ctx, n):
         return 3 * n + 1
@@ -106,6 +116,9 @@ def setup_seq(owner) -> None:
 
 
 ECHO_WORLD = World("echo", {"echo": setup_echo}, {"echo": {"echo": ECHO_T}})
+LOCAL_ECHO_WORLD = World(
+    "local_echo", {}, {}, local={"echo": functools.partial(setup_echo, node=CLIENT_NODE)}
+)
 SEQ_WORLD = World(
     "seq", {"seq": setup_seq}, {"seq": {"append": APPEND_T, "dump": DUMP_T}}
 )

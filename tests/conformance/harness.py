@@ -140,7 +140,7 @@ class SimBackend:
             loss_rate=SIM_LOSS_RATE if lossy else 0.0,
             seed=SIM_LOSS_SEED,
         )
-        for setup in world.servers.values():
+        for setup in [*world.servers.values(), *world.local.values()]:
             setup(system)
         client_guardian = system.create_guardian("client")
         proc = client_guardian.spawn(client)
@@ -194,15 +194,19 @@ class AsyncioBackend:
                     )
             if lossy:
                 host.network.reset_after_frames = RT_RESET_AFTER_FRAMES
+            for setup in world.local.values():
+                setup(host)
             client_guardian = host.create_guardian("client")
             proc = client_guardian.spawn(client)
             value = host.run(until=proc, timeout=self.timeout)
             client_events = list(host.tracer.events)
             host.export_trace(os.path.join(self.trace_dir, "node_client.trace.jsonl"))
             stats["node:client"] = host.stats()
-        except BaseException:
+        except BaseException as exc:
             # A failed or timed-out run: hard-stop the workers so the
-            # original failure surfaces, not a secondary stop() error.
+            # original failure surfaces, not a secondary stop() error;
+            # a worker that crashed first is raised, with the original
+            # failure as its cause.
             # Best-effort client trace export first — it is the artifact
             # the net-parity CI job uploads to debug the failure.
             if host is not None:
@@ -213,7 +217,9 @@ class AsyncioBackend:
                 except Exception:
                     pass
                 host.shutdown()
-            cluster.kill()
+            crashed = cluster.kill()
+            if crashed is not None and isinstance(exc, Exception):
+                raise crashed from exc
             raise
         host.shutdown()
         stats.update(cluster.stop())

@@ -2,7 +2,7 @@
 
 One set of application-level scenarios — call ordering, exactly-once
 under disturbance, promise claim semantics, coenter, stream flow
-control, span propagation, the paper's grades figures as interpreted
+control, same-node delivery, span propagation, the paper's grades figures as interpreted
 mini-Argus source — asserted identically against the
 deterministic simulator and the real-socket asyncio backend.  The
 transport invariants (exactly-once delivery, FIFO order, promise
@@ -132,6 +132,20 @@ def test_rpc_costs_two_datagrams(backend):
     for etype in ("stream.packet_sent", "stream.reply_packet_sent"):
         sent = [ev for ev in result.all_events() if ev.type == etype]
         assert len(sent) == 20, (etype, len(sent))
+    assert_invariants(result)
+
+
+def test_same_node_call(backend):
+    """A guardian on the client's own node: every packet of the stream
+    takes the shared same-node delivery path, on the simulator and on
+    sockets alike, and none goes on the wire."""
+    result = backend.run(apps.LOCAL_ECHO_WORLD, apps.client_promise_claims)
+    assert result.value == [4, 4, 7, 10, 40]
+    delivered = [ev for ev in result.all_events() if ev.type == "message.delivered"]
+    assert delivered and all(ev.fields["local"] for ev in delivered)
+    for stats in result.stats.values():
+        assert stats["messages_sent"] == 0, stats
+        assert stats["messages_delivered"] == len(delivered), stats
     assert_invariants(result)
 
 

@@ -92,3 +92,31 @@ def test_sim_time_is_monotonic_across_runs(driver):
     env.call_at(first + 1.0, lambda: None)
     driver.run(idle_exit=True)
     assert env.now >= first
+
+    # A socket callback that runs after a bounded run's bound has passed
+    # moves "now" beyond the bound; the run must not then set it back.
+    # The entry at the bound's start blocks the loop past the bound and
+    # 64 more share its timestamp, so the callback gets its turn while
+    # the run is still draining.
+    start = env.now
+    seen = []
+    injected = []
+
+    def socket_callback():
+        driver.inject(lambda: injected.append(env.now))
+        seen.append(env.now)
+
+    def slow():
+        time.sleep(25 * driver.time_unit)
+        driver.loop.call_soon(socket_callback)
+
+    env.call_at(start + 1.0, slow)
+    for _ in range(64):
+        env.call_at(start + 1.0, lambda: None)
+    driver.run(until=start + 10.0)
+    assert seen and seen[0] > start + 10.0
+    assert env.now >= seen[0]
+    # What the callback queued after the bound is left for the next run.
+    assert injected == []
+    driver.run(idle_exit=True)
+    assert injected == seen

@@ -15,20 +15,30 @@ import pytest
 
 from repro.core.exceptions import Failure, Unavailable
 from repro.obs.trace import load_jsonl
-from repro.rt import RtCluster, RtHost
+from repro.rt import ClusterError, RtCluster, RtHost
 from repro.streams.config import StreamConfig
 
-from tests.conformance.apps import ECHO_T, setup_echo
-from tests.conformance.harness import check_invariants, executing_seqs
+from tests.conformance.apps import ECHO_T, World, setup_echo
+from tests.conformance.harness import AsyncioBackend, check_invariants, executing_seqs
 
 pytestmark = pytest.mark.wallclock
 
 
-def _run_echo_cluster(tmp_path, reset_after_frames, client_proc, timeout=60.0):
+def _run_echo_cluster(
+    tmp_path,
+    reset_after_frames,
+    client_proc,
+    timeout=60.0,
+    setup=setup_echo,
+    stream_config=None,
+):
     """One echo worker + a client whose connections keep getting cut."""
     trace_dir = str(tmp_path / "traces")
-    cluster = RtCluster({"node:echo": setup_echo}, trace_dir=trace_dir)
+    cluster = RtCluster(
+        {"node:echo": setup}, trace_dir=trace_dir, stream_config=stream_config
+    )
     cluster.start()
+    host = None
     try:
         host = cluster.client_host(tracing=True)
         host.declare("echo", "echo", ECHO_T, node="node:echo")
@@ -42,8 +52,12 @@ def _run_echo_cluster(tmp_path, reset_after_frames, client_proc, timeout=60.0):
             "dials": host.network.stats_dials,
         }
         host.shutdown()
-    except BaseException:
-        cluster.kill()
+    except BaseException as exc:
+        if host is not None:
+            host.shutdown()
+        crashed = cluster.kill()
+        if crashed is not None and isinstance(exc, Exception):
+            raise crashed from exc
         raise
     cluster.stop()
     server_events = load_jsonl(cluster.trace_path("node:echo"))
@@ -145,3 +159,39 @@ def test_call_to_dead_port_breaks_stream(tmp_path):
         assert host.network.stats_dial_failures > 0
     finally:
         host.shutdown()
+
+
+def _explode():
+    raise RuntimeError("worker callback exploded")
+
+
+def setup_crashing_echo(host):
+    """The echo guardian, plus a callback that kills the worker's first
+    drain (module-level: spawn pickles it by reference)."""
+    setup_echo(host)
+    host.env.call_soon(_explode)
+
+
+@pytest.mark.parametrize("harness", ["robustness", "conformance"])
+def test_worker_traceback_reaches_the_failed_run(tmp_path, harness):
+    """A worker that crashes makes the client's run fail; the failure
+    raised names that worker and carries its traceback."""
+    with pytest.raises(ClusterError) as info:
+        if harness == "robustness":
+            _run_echo_cluster(
+                tmp_path,
+                0,
+                _call_once,
+                timeout=30.0,
+                setup=setup_crashing_echo,
+                stream_config=FAST_BREAK,
+            )
+        else:
+            world = World("crash", {"echo": setup_crashing_echo}, {"echo": {"echo": ECHO_T}})
+            AsyncioBackend(str(tmp_path / "traces"), timeout=30.0).run(
+                world, _call_once, stream_config=FAST_BREAK
+            )
+    message = str(info.value)
+    assert "worker 'node:echo' failed" in message, message
+    assert "RuntimeError: worker callback exploded" in message, message
+    assert isinstance(info.value.__cause__, (Failure, Unavailable))

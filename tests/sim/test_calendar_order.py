@@ -6,7 +6,7 @@ put them there.  ``HeapCalendar`` below *is* that sentence — one ``heapq``
 of ``(time, priority, seq)`` keys — and hypothesis plays random programs
 on both: every insert path, alarms armed / cancelled / re-armed earlier
 and later, inserts made from inside a callback at the current timestamp
-(URGENT included), callbacks that raise mid-lane, and ``step()`` /
+(URGENT included), callbacks that raise mid-lane, and ``run()`` /
 ``run(until=t)`` / ``peek()`` interleavings.  The two logs must be equal.
 """
 
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.sim import Alarm, Environment
 from repro.sim.events import Event
-from repro.sim.kernel import NORMAL, URGENT, EmptySchedule, Infinity
+from repro.sim.kernel import NORMAL, URGENT, Infinity
 
 
 class HeapCalendar:
@@ -51,19 +51,14 @@ class HeapCalendar:
     def queued_event_count(self):
         return len(self._heap)
 
-    def step(self):
-        if not self._heap:
-            raise EmptySchedule()
-        self._now, _, _, head, payload = heappop(self._heap)
-        if head is None:
-            payload._fire(self)
-        else:
-            head(*payload)
-
     def run(self, until=None):
         limit = Infinity if until is None else until
         while self._heap and self._heap[0][0] <= limit:
-            self.step()
+            self._now, _, _, head, payload = heappop(self._heap)
+            if head is None:
+                payload._fire(self)
+            else:
+                head(*payload)
         if until is not None:
             self._now = max(self._now, limit)
 
@@ -120,14 +115,10 @@ class Player:
                 env.run()
             elif op[0] == "run_until":
                 env.run(env._now + op[1])
-            elif op[0] == "step":
-                env.step()
             else:
                 self.do(op)
         except Boom:
             self.log.append("boom")
-        except EmptySchedule:
-            self.log.append("empty")
         self.log.append((op[0], env._now, env.peek(), env.queued_event_count()))
 
     def play(self, program):
@@ -169,7 +160,6 @@ DRIVER_OPS = st.one_of(
     ALARM_OPS,
     st.just(("run",)),
     st.tuples(st.just("run_until"), DELAYS),
-    st.just(("step",)),
 )
 
 

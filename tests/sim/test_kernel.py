@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment, Event, Infinity
+from repro.sim import Environment, Event, Infinity
+from repro.sim.kernel import _Stopper
 
 
 def test_clock_starts_at_zero():
@@ -99,10 +100,28 @@ def test_run_until_event_that_never_fires_raises():
         env.run(until=event)
 
 
-def test_step_empty_schedule():
+def test_stop_event_ends_a_time_bounded_run_and_the_lane_resumes():
+    """The contract the wallclock driver drains by: a run bounded by time
+    returns the value of a stop event that fires first, and the next run
+    resumes the rest of that event's lane in order."""
     env = Environment()
-    with pytest.raises(EmptySchedule):
-        env.step()
+    done = Event(env)
+    done.callbacks.append(_Stopper(done))
+    log = []
+
+    def trigger():
+        done.succeed("value")  # joins the lane at 1.0 ...
+        env.call_soon(log.append, "after 1")  # ... ahead of these two
+        env.call_soon(log.append, "after 2")
+
+    env.call_at(1.0, log.append, "before")
+    env.call_at(1.0, trigger)
+    env.call_at(2.0, log.append, "later")
+    assert env.run(until=5.0) == "value"
+    assert (log, env.now) == (["before"], 1.0)
+    assert env.run(until=5.0) is None
+    assert log == ["before", "after 1", "after 2", "later"]
+    assert env.now == 5.0
 
 
 def test_peek_reports_next_event_time():

@@ -101,15 +101,6 @@ def test_queue_put_after_close_fails(env):
     assert env.run(until=env.process(producer(env))) == "refused"
 
 
-def test_queue_try_get_and_try_put(env):
-    queue = BlockingQueue(env, capacity=1)
-    assert queue.try_put("a")
-    assert not queue.try_put("b")
-    assert queue.try_get() == "a"
-    with pytest.raises(IndexError):
-        queue.try_get()
-
-
 def test_queue_len(env):
     queue = BlockingQueue(env)
     queue.put(1)

@@ -16,10 +16,8 @@ from repro.types import (
     RecordOf,
     TypeViolation,
     UserType,
-    check_args,
     check_results,
     check_value,
-    conforms,
 )
 
 
@@ -73,7 +71,7 @@ def test_null_conformance():
 
 def test_any_accepts_everything():
     check_value(ANY, object())
-    assert conforms(ANY, None)
+    check_value(ANY, None)
 
 
 def test_array_conformance():
@@ -138,23 +136,9 @@ def test_user_type_validator():
     check_value(anything, object())
 
 
-def test_check_args_count_and_types():
-    ht = HandlerType(args=[STRING, INT])
-    check_args(ht, ("amy", 90))
-    with pytest.raises(TypeViolation):
-        check_args(ht, ("amy",))
-    with pytest.raises(TypeViolation):
-        check_args(ht, ("amy", "ninety"))
-
-
 def test_check_results_count_and_types():
     check_results((REAL,), (3.5,))
     with pytest.raises(TypeViolation):
         check_results((REAL,), ())
     with pytest.raises(TypeViolation):
         check_results((REAL, INT), (1.0, "x"))
-
-
-def test_conforms_predicate():
-    assert conforms(INT, 3)
-    assert not conforms(INT, "3")
