@@ -3,8 +3,8 @@
 Instead of driving a DAG of calls from the client — one round trip per
 edge — describe it once with :class:`GraphBuilder` and ship it: each
 routine tree travels to the shard its scheduling key hashes to,
-executes where the data lives, and cascades shard-to-shard as epoch
-batch frames. The client gets one promise per ``emit()`` tag.
+executes where the data lives, and cascades shard-to-shard, one epoch
+batch call per destination. The client gets one promise per ``emit()`` tag.
 
 The demo builds a little DAG over three shards:
 

@@ -616,7 +616,7 @@ class KvGraphWorkload(KvWorkload):
 
     Every round submits one graph: the shuffled keys are cut into chains
     of ``chain_len`` add links (each link scheduled on its own key, so a
-    chain hops shards as a cascading batch frame), plus ``reads_per_round``
+    chain hops shards as a cascading batch call), plus ``reads_per_round``
     Zipf-skewed two-key read transactions — ``get`` sources joining at a
     ``sum`` collector on the hottest key's shard.  Nothing blocks per
     call: the driver sleeps a settle budget, snapshots whichever promises

@@ -232,7 +232,7 @@ def run_vat_phased(ctx, pipeline: Pipeline, items: Sequence[Any]) -> Promise:
         def step(cursor: int) -> None:
             # Apply the filter for live[cursor] and issue its call, then
             # continue — looping inline while the filter is free, bouncing
-            # off the calendar (call_in) to charge non-zero filter cost
+            # off the calendar (call_at) to charge non-zero filter cost
             # where a process would ``ctx.sleep``.
             while True:
                 index = live[cursor]
@@ -249,7 +249,7 @@ def run_vat_phased(ctx, pipeline: Pipeline, items: Sequence[Any]) -> Promise:
                     gather()
                     return
                 if stage.filter.cost > 0:
-                    env.call_in(stage.filter.cost, step, cursor)
+                    env.call_at(env.now + stage.filter.cost, step, cursor)
                     return
 
         def gather() -> None:
@@ -276,7 +276,7 @@ def run_vat_phased(ctx, pipeline: Pipeline, items: Sequence[Any]) -> Promise:
             ref.flush()
             start_stage(position + 1, values, live)
         elif stage.filter.cost > 0:
-            env.call_in(stage.filter.cost, step, 0)
+            env.call_at(env.now + stage.filter.cost, step, 0)
         else:
             step(0)
 

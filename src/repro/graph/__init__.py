@@ -9,7 +9,9 @@ codecs (:mod:`repro.graph.codec`), and ships it over ordinary call
 streams to execute where its data lives (:mod:`repro.graph.runtime`).
 Routines that discover — from their actual inputs — that they belong on
 another shard migrate by re-shipping their subtree; routines bound for
-the same shard in the same epoch travel together in one batch frame.
+the same shard in the same epoch travel together in one ``exec`` call,
+whose graph id, epoch and batching flag are typed arguments beside the
+rows.
 """
 
 from repro.graph.builder import GraphBuilder, GraphError, NodeHandle

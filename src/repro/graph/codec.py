@@ -1,15 +1,19 @@
 """Flat routine-tree codec and routine registry for promise graphs.
 
 A shipped graph fragment is a *routine tree*: the node to run next plus
-the entire subtree that depends on it.  Trees travel inside three frame
-kinds, all built on the compiled flat codecs of :mod:`repro.encoding.xrep`
-(captures, inputs and outputs are encoded by the registered routine's
-compiled per-type encoders — no per-value isinstance dispatch on the hot
-path):
+the entire subtree that depends on it.  Trees travel in two payloads,
+each a count and then its rows, built on the compiled flat codecs of
+:mod:`repro.encoding.xrep` (captures, inputs and outputs are encoded by
+the registered routine's compiled per-type encoders — no per-value
+isinstance dispatch on the hot path):
 
-``GB``  batch frame    one epoch of units bound for one shard
-``GU``  unit frame     a single delivery (the per-edge RPC baseline)
-``GR``  result frame   emitted node outputs flowing back to the origin
+``units``    ``(slot, tree, values)`` deliveries bound for one shard
+``results``  ``(node_id, routine, outputs)`` rows back to the origin
+
+A payload carries rows and nothing else.  Which graph and epoch they
+belong to, and whether cascades batch, are typed arguments of the graph
+handlers beside the payload (:mod:`repro.graph.runtime`), so the port's
+argument codec checks and encodes them like any other call's.
 
 Like the rest of the encoding layer, decoding is *total*: any truncated
 or corrupted buffer raises :class:`~repro.encoding.errors.DecodeError`,
@@ -38,19 +42,16 @@ from repro.types.signatures import Type
 __all__ = [
     "FLAG_COLLECTOR",
     "FLAG_EMIT",
-    "FRAME_BATCHING",
     "RoutineSpec",
     "TreeNode",
     "register_routine",
     "routine",
     "encode_tree",
     "decode_tree",
-    "encode_batch_frame",
-    "decode_batch_frame",
-    "encode_unit_frame",
-    "decode_unit_frame",
-    "encode_result_frame",
-    "decode_result_frame",
+    "encode_units",
+    "decode_units",
+    "encode_results",
+    "decode_results",
 ]
 
 _INT = struct.Struct(">q")
@@ -62,15 +63,6 @@ FLAG_COLLECTOR = 0x01
 #: Node flag: the node's outputs are reported back to the origin guardian.
 FLAG_EMIT = 0x02
 _NODE_FLAGS = FLAG_COLLECTOR | FLAG_EMIT
-
-#: Batch-frame flag: downstream hops should also batch per destination.
-FRAME_BATCHING = 0x01
-_FRAME_FLAGS = FRAME_BATCHING
-
-_VERSION = 1
-_MAGIC_BATCH = b"GB"
-_MAGIC_UNIT = b"GU"
-_MAGIC_RESULT = b"GR"
 
 #: Recursion guard: no sane graph nests this deep; a corrupted child
 #: count must not be able to drive the decoder into unbounded recursion.
@@ -329,24 +321,51 @@ def decode_tree(data: Any, offset: int, depth: int = 0) -> Tuple[TreeNode, int]:
 
 
 # ----------------------------------------------------------------------
-# Units
+# Payloads
 # ----------------------------------------------------------------------
 
-def _encode_unit(
-    out: bytearray, slot: int, node: TreeNode, values: Tuple[Any, ...]
-) -> None:
-    if len(values) != len(node.spec.input_types):
-        raise EncodeError(
-            "%s delivery carries %d values, spec wants %d"
-            % (node.spec.name, len(values), len(node.spec.input_types))
-        )
-    out += _SLOT.pack(slot)
-    encode_tree(node, out)
-    for encoder, value in zip(node.spec._input_encoders, values):
-        encoder(value, out)
+#: One delivery: the input slot, the tree it feeds, the delivered values.
+Unit = Tuple[int, TreeNode, Tuple[Any, ...]]
+#: One emitted node: its id, its routine's name, its outputs.
+Result = Tuple[int, str, Tuple[Any, ...]]
 
 
-def _decode_unit(data: Any, offset: int) -> Tuple[int, TreeNode, Tuple[Any, ...], int]:
+def _decode_rows(
+    data: Any, min_row_bytes: int, decode_row: Callable[[Any, int], Tuple[Any, int]]
+) -> List[Any]:
+    """A count, then that many rows filling *data* exactly."""
+    if len(data) < 4:
+        raise DecodeError("truncated row count")
+    (count,) = _LEN.unpack_from(data, 0)
+    offset = 4
+    if count * min_row_bytes > len(data) - offset:
+        raise DecodeError("row count %d exceeds remaining payload" % (count,))
+    rows = []
+    for _ in range(count):
+        row, offset = decode_row(data, offset)
+        rows.append(row)
+    if offset != len(data):
+        raise DecodeError("%d trailing bytes after decoding" % (len(data) - offset))
+    return rows
+
+
+def encode_units(units: Sequence[Unit]) -> bytes:
+    """Deliveries bound for one shard: a count, then one row per unit."""
+    out = bytearray(_LEN.pack(len(units)))
+    for slot, node, values in units:
+        if len(values) != len(node.spec.input_types):
+            raise EncodeError(
+                "%s delivery carries %d values, spec wants %d"
+                % (node.spec.name, len(values), len(node.spec.input_types))
+            )
+        out += _SLOT.pack(slot)
+        encode_tree(node, out)
+        for encoder, value in zip(node.spec._input_encoders, values):
+            encoder(value, out)
+    return bytes(out)
+
+
+def _decode_unit(data: Any, offset: int) -> Tuple[Unit, int]:
     if offset + 2 > len(data):
         raise DecodeError("truncated unit slot")
     (slot,) = _SLOT.unpack_from(data, offset)
@@ -358,115 +377,17 @@ def _decode_unit(data: Any, offset: int) -> Tuple[int, TreeNode, Tuple[Any, ...]
     values: List[Any] = []
     for decoder in node.spec._input_decoders:
         offset = decoder(data, offset, values)
-    return slot, node, tuple(values), offset
+    return (slot, node, tuple(values)), offset
 
 
-# ----------------------------------------------------------------------
-# Frames
-# ----------------------------------------------------------------------
-
-def _decode_header(data: Any, magic: bytes) -> int:
-    if len(data) < 3:
-        raise DecodeError("truncated frame header")
-    head = data[0:2]
-    if head.__class__ is not bytes:
-        head = bytes(head)
-    if head != magic:
-        raise DecodeError("bad frame magic %r (want %r)" % (head, magic))
-    if data[2] != _VERSION:
-        raise DecodeError("unsupported frame version %d" % (data[2],))
-    return 3
+def decode_units(data: Any) -> List[Unit]:
+    """Decode a units payload into ``[(slot, tree, values)]``."""
+    return _decode_rows(data, _MIN_UNIT_BYTES, _decode_unit)
 
 
-def encode_batch_frame(
-    graph_id: int,
-    origin: str,
-    epoch: int,
-    flags: int,
-    units: Sequence[Tuple[int, TreeNode, Tuple[Any, ...]]],
-) -> bytes:
-    """One epoch of deliveries bound for one shard, as a single frame."""
-    out = bytearray(_MAGIC_BATCH)
-    out.append(_VERSION)
-    out.append(flags)
-    out += _INT.pack(graph_id)
-    _encode_str(out, origin)
-    out += _INT.pack(epoch)
-    out += _LEN.pack(len(units))
-    for slot, node, values in units:
-        _encode_unit(out, slot, node, values)
-    return bytes(out)
-
-
-def decode_batch_frame(
-    data: Any,
-) -> Tuple[int, str, int, int, List[Tuple[int, TreeNode, Tuple[Any, ...]]]]:
-    """Decode a batch frame into (graph_id, origin, epoch, flags, units)."""
-    offset = _decode_header(data, _MAGIC_BATCH)
-    if offset + 1 > len(data):
-        raise DecodeError("truncated batch flags")
-    flags = data[offset]
-    offset += 1
-    if flags & ~_FRAME_FLAGS:
-        raise DecodeError("unknown batch frame flags 0x%02x" % (flags,))
-    if offset + 8 > len(data):
-        raise DecodeError("truncated graph id")
-    (graph_id,) = _INT.unpack_from(data, offset)
-    origin, offset = _decode_str_flat(data, offset + 8)
-    if offset + 12 > len(data):
-        raise DecodeError("truncated epoch header")
-    (epoch,) = _INT.unpack_from(data, offset)
-    (count,) = _LEN.unpack_from(data, offset + 8)
-    offset += 12
-    if count * _MIN_UNIT_BYTES > len(data) - offset:
-        raise DecodeError("unit count %d exceeds remaining payload" % (count,))
-    units = []
-    for _ in range(count):
-        slot, node, values, offset = _decode_unit(data, offset)
-        units.append((slot, node, values))
-    if offset != len(data):
-        raise DecodeError("%d trailing bytes after decoding" % (len(data) - offset))
-    return graph_id, origin, epoch, flags, units
-
-
-def encode_unit_frame(
-    graph_id: int,
-    origin: str,
-    slot: int,
-    node: TreeNode,
-    values: Tuple[Any, ...],
-) -> bytes:
-    """A single delivery as its own frame (per-edge RPC baseline)."""
-    out = bytearray(_MAGIC_UNIT)
-    out.append(_VERSION)
-    out += _INT.pack(graph_id)
-    _encode_str(out, origin)
-    _encode_unit(out, slot, node, values)
-    return bytes(out)
-
-
-def decode_unit_frame(data: Any) -> Tuple[int, str, int, TreeNode, Tuple[Any, ...]]:
-    """Decode a unit frame into (graph_id, origin, slot, node, values)."""
-    offset = _decode_header(data, _MAGIC_UNIT)
-    if offset + 8 > len(data):
-        raise DecodeError("truncated graph id")
-    (graph_id,) = _INT.unpack_from(data, offset)
-    origin, offset = _decode_str_flat(data, offset + 8)
-    slot, node, values, offset = _decode_unit(data, offset)
-    if offset != len(data):
-        raise DecodeError("%d trailing bytes after decoding" % (len(data) - offset))
-    return graph_id, origin, slot, node, values
-
-
-def encode_result_frame(
-    graph_id: int,
-    results: Sequence[Tuple[int, str, Tuple[Any, ...]]],
-) -> bytes:
-    """Emitted node outputs flowing back to the origin guardian."""
-    out = bytearray(_MAGIC_RESULT)
-    out.append(_VERSION)
-    out += _INT.pack(graph_id)
-    out += _LEN.pack(len(results))
+def encode_results(results: Sequence[Result]) -> bytes:
+    """Emitted node outputs: a count, then one row per result."""
+    out = bytearray(_LEN.pack(len(results)))
     for node_id, name, outputs in results:
         out += _INT.pack(node_id)
         _encode_str(out, name)
@@ -481,29 +402,20 @@ def encode_result_frame(
     return bytes(out)
 
 
-def decode_result_frame(data: Any) -> Tuple[int, List[Tuple[int, str, Tuple[Any, ...]]]]:
-    """Decode a result frame into (graph_id, [(node_id, name, outputs)])."""
-    offset = _decode_header(data, _MAGIC_RESULT)
-    if offset + 12 > len(data):
-        raise DecodeError("truncated result header")
-    (graph_id,) = _INT.unpack_from(data, offset)
-    (count,) = _LEN.unpack_from(data, offset + 8)
-    offset += 12
-    if count * _MIN_RESULT_BYTES > len(data) - offset:
-        raise DecodeError("result count %d exceeds remaining payload" % (count,))
-    results = []
-    for _ in range(count):
-        if offset + 8 > len(data):
-            raise DecodeError("truncated result node id")
-        (node_id,) = _INT.unpack_from(data, offset)
-        name, offset = _decode_str_flat(data, offset + 8)
-        spec = _REGISTRY.get(name)
-        if spec is None:
-            raise DecodeError("unknown routine %r" % (name,))
-        values: List[Any] = []
-        for decoder in spec._output_decoders:
-            offset = decoder(data, offset, values)
-        results.append((node_id, name, tuple(values)))
-    if offset != len(data):
-        raise DecodeError("%d trailing bytes after decoding" % (len(data) - offset))
-    return graph_id, results
+def _decode_result(data: Any, offset: int) -> Tuple[Result, int]:
+    if offset + 8 > len(data):
+        raise DecodeError("truncated result node id")
+    (node_id,) = _INT.unpack_from(data, offset)
+    name, offset = _decode_str_flat(data, offset + 8)
+    spec = _REGISTRY.get(name)
+    if spec is None:
+        raise DecodeError("unknown routine %r" % (name,))
+    values: List[Any] = []
+    for decoder in spec._output_decoders:
+        offset = decoder(data, offset, values)
+    return (node_id, name, tuple(values)), offset
+
+
+def decode_results(data: Any) -> List[Result]:
+    """Decode a results payload into ``[(node_id, name, outputs)]``."""
+    return _decode_rows(data, _MIN_RESULT_BYTES, _decode_result)

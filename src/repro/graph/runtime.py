@@ -2,17 +2,21 @@
 
 The runtime installs one ``graph`` port group on every shard guardian:
 
-``exec``      takes a batch frame (an epoch of routine deliveries), runs
-              every unit where its data lives, and cascades the leftover
-              subtrees — one frame per downstream shard, shipped as a
-              :data:`~repro.streams.wire.KIND_BATCH` entry so a normal
-              epoch needs no reply beyond the completion watermark;
-``exec_one``  the naive baseline: one delivery in, fire-or-accumulate,
-              outputs back — a full RPC round trip per DAG edge.
+``exec(graph_id, epoch, batching, units)``
+    runs an epoch of routine deliveries where their data lives and
+    cascades the leftover subtrees — one call per downstream shard,
+    shipped as a :data:`~repro.streams.wire.KIND_BATCH` entry so a normal
+    epoch needs no reply beyond the completion watermark;
+``exec_one(graph_id, unit) -> results``
+    the naive baseline: one delivery in, fire-or-accumulate, outputs
+    back — a full RPC round trip per DAG edge.
 
 The *origin* guardian (where :meth:`GraphRuntime.submit` runs) gets a
-``graph_result`` handler that resolves the submission's promises from
-incoming result frames.
+``graph_result(graph_id, results)`` handler that resolves the
+submission's promises.  ``units`` and ``results`` are the payloads of
+:mod:`repro.graph.codec`; everything else is an ordinary typed argument.
+The origin is not on the wire: a shard group has one runtime, and every
+shard sends its results to that runtime's origin.
 
 Execution placement: each delivery routes to the shard its scheduling
 key hashes to.  A routine with a ``node_func`` recomputes the key from
@@ -25,23 +29,22 @@ guardian's state.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.exceptions import Unavailable
+from repro.core.exceptions import Failure, Unavailable
 from repro.core.promise import Promise
 from repro.graph.builder import GraphBuilder, GraphError
 from repro.graph.codec import (
-    FRAME_BATCHING,
+    Result,
     TreeNode,
-    decode_batch_frame,
-    decode_result_frame,
-    decode_unit_frame,
-    encode_batch_frame,
-    encode_result_frame,
-    encode_unit_frame,
+    Unit,
+    decode_results,
+    decode_units,
+    encode_results,
+    encode_units,
 )
 from repro.graph.router import ShardRouter
-from repro.types.signatures import STRING, HandlerType, PromiseType
+from repro.types.signatures import BOOL, INT, STRING, HandlerType, PromiseType
 
 __all__ = [
     "EXEC_HANDLER",
@@ -56,35 +59,54 @@ EXEC_HANDLER = "exec"
 EXEC_ONE_HANDLER = "exec_one"
 RESULT_HANDLER = "graph_result"
 
-#: Frames travel as strings through the ordinary argument codecs; the
-#: latin-1 bijection maps frame bytes onto code points losslessly.
-_EXEC_TYPE = HandlerType(args=[STRING])
-_EXEC_ONE_TYPE = HandlerType(args=[STRING], returns=[STRING])
-_RESULT_TYPE = HandlerType(args=[STRING])
+#: Payloads travel as strings through the ordinary argument codecs; the
+#: latin-1 bijection maps payload bytes onto code points losslessly.
+_EXEC_TYPE = HandlerType(args=[INT, INT, BOOL, STRING])
+_EXEC_ONE_TYPE = HandlerType(args=[INT, STRING], returns=[STRING])
+_RESULT_TYPE = HandlerType(args=[INT, STRING])
 
 
-def _to_wire(frame: bytes) -> str:
-    return frame.decode("latin-1")
+def _to_wire(payload: bytes) -> str:
+    return payload.decode("latin-1")
 
 
 def _from_wire(text: str) -> bytes:
     return text.encode("latin-1")
 
 
-class _ShardEngine:
-    """Per-incoming-frame execution state on one shard.
+def _ship(
+    ctx: Any,
+    src: str,
+    dest: str,
+    handler: str,
+    head: Tuple[Any, ...],
+    rows: Sequence[Any],
+    encode: Callable[[Sequence[Any]], bytes],
+    epoch: int,
+    batching: bool,
+) -> None:
+    """Call ``handler(*head, payload)`` on *dest*: one ``KIND_BATCH``
+    entry carrying every row, or one per row when batching is off."""
+    ref = ctx.lookup(dest, handler, group=GRAPH_GROUP)
+    tracer = ctx.env.tracer
+    for chunk in [rows] if batching else [[row] for row in rows]:
+        ref.batch(*head, _to_wire(encode(chunk)))
+        if tracer is not None:
+            tracer.emit("graph.epoch", shard=src, dst=dest, epoch=epoch, units=len(chunk))
 
-    Outgoing units and results buffer here while the frame's deliveries
-    run, then flush as one frame per destination (the epoch batch) or
-    one frame per delivery (batching off).  Buffers are per-engine, so
-    concurrently executing frames never interleave their epochs.
+
+class _ShardEngine:
+    """Per-incoming-call execution state on one shard.
+
+    Outgoing units and results buffer here while the call's deliveries
+    run, then ship through :func:`_ship`.  Buffers are per-engine, so
+    concurrently executing calls never interleave their epochs.
     """
 
     __slots__ = (
         "runtime",
         "ctx",
         "graph_id",
-        "origin",
         "epoch",
         "batching",
         "rpc",
@@ -99,7 +121,6 @@ class _ShardEngine:
         runtime: "GraphRuntime",
         ctx: Any,
         graph_id: int,
-        origin: str,
         epoch: int,
         batching: bool,
         rpc: bool = False,
@@ -107,24 +128,18 @@ class _ShardEngine:
         self.runtime = runtime
         self.ctx = ctx
         self.graph_id = graph_id
-        self.origin = origin
         self.epoch = epoch
         self.batching = batching
         self.rpc = rpc
         self.my_name = ctx.guardian.name
         self.my_index = runtime.router.index_of(self.my_name)
-        self.out_units: Dict[int, List[Tuple[int, TreeNode, Tuple[Any, ...]]]] = {}
-        self.out_results: List[Tuple[int, str, Tuple[Any, ...]]] = []
+        self.out_units: Dict[int, List[Unit]] = {}
+        self.out_results: List[Result] = []
 
     def deliver(self, slot: int, node: TreeNode, values: Tuple[Any, ...]):
         """Route one delivery: execute here, join, or re-ship elsewhere."""
-        spec = node.spec
         if not self.rpc:
-            if node.is_collector or spec.node_func is None:
-                key = node.sched_key
-            else:
-                key = spec.node_func(node.captures, values)
-            dest = self.runtime.router.shard_index(key)
+            dest = self.runtime._placement(node, values)
             if dest != self.my_index:
                 self.out_units.setdefault(dest, []).append((slot, node, values))
                 return
@@ -172,39 +187,20 @@ class _ShardEngine:
             yield from self.deliver(slot, child, outputs)
 
     def flush(self) -> None:
-        """Ship buffered units/results, one frame per destination."""
-        router = self.runtime.router
-        for dest_index in sorted(self.out_units):
-            units = self.out_units[dest_index]
-            dest = router.shard_names[dest_index]
-            ref = self.ctx.lookup(dest, EXEC_HANDLER, group=GRAPH_GROUP)
-            if self.batching:
-                frame = encode_batch_frame(
-                    self.graph_id, self.origin, self.epoch, FRAME_BATCHING, units
-                )
-                ref.batch(_to_wire(frame))
-                self.runtime._emit_epoch(self.ctx, self.my_name, dest, self.epoch, len(units))
-            else:
-                for unit in units:
-                    frame = encode_batch_frame(
-                        self.graph_id, self.origin, self.epoch, 0, [unit]
-                    )
-                    ref.batch(_to_wire(frame))
-                    self.runtime._emit_epoch(self.ctx, self.my_name, dest, self.epoch, 1)
+        """Ship buffered units to their shards and results to the origin."""
+        runtime, head = self.runtime, (self.graph_id, self.epoch, self.batching)
+        for index in sorted(self.out_units):
+            _ship(
+                self.ctx, self.my_name, runtime.router.shard_names[index],
+                EXEC_HANDLER, head, self.out_units[index], encode_units,
+                self.epoch, self.batching,
+            )
         if self.out_results and not self.rpc:
-            ref = self.ctx.lookup(self.origin, RESULT_HANDLER, group=GRAPH_GROUP)
-            if self.batching:
-                frame = encode_result_frame(self.graph_id, self.out_results)
-                ref.batch(_to_wire(frame))
-                self.runtime._emit_epoch(
-                    self.ctx, self.my_name, self.origin, self.epoch, len(self.out_results)
-                )
-            else:
-                for result in self.out_results:
-                    ref.batch(_to_wire(encode_result_frame(self.graph_id, [result])))
-                    self.runtime._emit_epoch(
-                        self.ctx, self.my_name, self.origin, self.epoch, 1
-                    )
+            _ship(
+                self.ctx, self.my_name, runtime.origin, RESULT_HANDLER,
+                (self.graph_id,), self.out_results, encode_results,
+                self.epoch, self.batching,
+            )
 
 
 class GraphRuntime:
@@ -236,32 +232,37 @@ class GraphRuntime:
         )
 
     # ------------------------------------------------------------------
+    # Placement
+    # ------------------------------------------------------------------
+    def _placement(self, node: TreeNode, values: Tuple[Any, ...]) -> int:
+        """The shard index *node* runs on once *values* are delivered."""
+        key = node.sched_key
+        if node.spec.node_func is not None and not node.is_collector:
+            key = node.spec.node_func(node.captures, values)
+        return self.router.shard_index(key)
+
+
+    # ------------------------------------------------------------------
     # Shard handlers
     # ------------------------------------------------------------------
-    def _exec_impl(self, ctx: Any, frame_text: str):
-        graph_id, origin, epoch, flags, units = decode_batch_frame(
-            _from_wire(frame_text)
-        )
-        engine = _ShardEngine(
-            self, ctx, graph_id, origin, epoch, batching=bool(flags & FRAME_BATCHING)
-        )
-        for slot, node, values in units:
+    def _exec_impl(
+        self, ctx: Any, graph_id: int, epoch: int, batching: bool, units: str
+    ):
+        engine = _ShardEngine(self, ctx, graph_id, epoch, batching)
+        for slot, node, values in decode_units(_from_wire(units)):
             yield from engine.deliver(slot, node, values)
         engine.flush()
 
-    def _exec_one_impl(self, ctx: Any, frame_text: str):
-        graph_id, origin, slot, node, values = decode_unit_frame(
-            _from_wire(frame_text)
-        )
-        engine = _ShardEngine(
-            self, ctx, graph_id, origin, epoch=0, batching=False, rpc=True
-        )
-        yield from engine.deliver(slot, node, values)
-        return _to_wire(encode_result_frame(graph_id, engine.out_results))
+    def _exec_one_impl(self, ctx: Any, graph_id: int, unit: str):
+        units = decode_units(_from_wire(unit))
+        if len(units) != 1:
+            raise Failure("exec_one takes one unit, got %d" % len(units))
+        engine = _ShardEngine(self, ctx, graph_id, epoch=0, batching=False, rpc=True)
+        yield from engine.deliver(*units[0])
+        return _to_wire(encode_results(engine.out_results))
 
-    def _result_impl(self, ctx: Any, frame_text: str):
-        graph_id, results = decode_result_frame(_from_wire(frame_text))
-        for node_id, _name, outputs in results:
+    def _result_impl(self, ctx: Any, graph_id: int, results: str):
+        for node_id, _name, outputs in decode_results(_from_wire(results)):
             promise = self._pending.pop((graph_id, node_id), None)
             if promise is not None and not promise.ready():
                 promise.resolve_normal(*outputs)
@@ -272,12 +273,11 @@ class GraphRuntime:
         """Resolve every still-pending submission promise to ``unavailable``.
 
         The give-up half of a bounded wait: a client that has slept its
-        settle budget calls this so lost frames (a crashed shard, a
+        settle budget calls this so lost calls (a crashed shard, a
         broken cascade) break their promises instead of stranding them —
         exactly the paper's rule that communication failure maps to the
         ``unavailable`` condition.  Returns how many promises it broke;
-        result frames that arrive later find nothing pending and are
-        dropped.
+        results that arrive later find nothing pending and are dropped.
         """
         count = 0
         for key in sorted(self._pending):
@@ -290,12 +290,6 @@ class GraphRuntime:
     # ------------------------------------------------------------------
     # Client surface
     # ------------------------------------------------------------------
-    def _root_shard(self, root: TreeNode) -> int:
-        key = root.sched_key
-        if root.spec.node_func is not None and not root.is_collector:
-            key = root.spec.node_func(root.captures, ())
-        return self.router.shard_index(key)
-
     def submit(
         self,
         ctx: Any,
@@ -305,9 +299,9 @@ class GraphRuntime:
     ) -> Dict[str, Promise]:
         """Ship *graph* to its shards; promises per emitting node, by tag.
 
-        With ``batching`` on, all roots bound for one shard travel as a
-        single epoch frame (and the shards batch their own cascades the
-        same way); off, every delivery is its own frame — same DAG, same
+        With ``batching`` on, all roots bound for one shard travel as one
+        ``exec`` call (and the shards batch their own cascades the same
+        way); off, every delivery is its own call — same DAG, same
         placement, strictly more wire messages.
         """
         roots, emits = graph.compile()
@@ -323,24 +317,15 @@ class GraphRuntime:
             )
             self._pending[(graph_id, node_id)] = promise
             promises[tag] = promise
-        per_shard: Dict[int, List[Tuple[int, TreeNode, Tuple[Any, ...]]]] = {}
+        per_shard: Dict[int, List[Unit]] = {}
         for root in roots:
-            per_shard.setdefault(self._root_shard(root), []).append((0, root, ()))
+            per_shard.setdefault(self._placement(root, ()), []).append((0, root, ()))
         for index in sorted(per_shard):
-            units = per_shard[index]
-            dest = self.router.shard_names[index]
-            ref = ctx.lookup(dest, EXEC_HANDLER, group=GRAPH_GROUP)
-            if batching:
-                frame = encode_batch_frame(
-                    graph_id, self.origin, epoch, FRAME_BATCHING, units
-                )
-                ref.batch(_to_wire(frame))
-                self._emit_epoch(ctx, self.origin, dest, epoch, len(units))
-            else:
-                for unit in units:
-                    frame = encode_batch_frame(graph_id, self.origin, epoch, 0, [unit])
-                    ref.batch(_to_wire(frame))
-                    self._emit_epoch(ctx, self.origin, dest, epoch, 1)
+            _ship(
+                ctx, self.origin, self.router.shard_names[index], EXEC_HANDLER,
+                (graph_id, epoch, batching), per_shard[index], encode_units,
+                epoch, batching,
+            )
         return promises
 
     def run_rpc(self, ctx: Any, graph: GraphBuilder):
@@ -359,31 +344,17 @@ class GraphRuntime:
         queue = deque((0, root, ()) for root in roots)
         while queue:
             slot, node, values = queue.popleft()
-            key = node.sched_key
-            if node.spec.node_func is not None and not node.is_collector:
-                key = node.spec.node_func(node.captures, values)
-            dest = self.router.shard_name(key)
+            dest = self.router.shard_names[self._placement(node, values)]
             ref = ctx.lookup(dest, EXEC_ONE_HANDLER, group=GRAPH_GROUP)
-            frame = encode_unit_frame(
-                graph_id, self.origin, slot, node.without_children(), values
-            )
-            reply = yield ref.call(_to_wire(frame))
-            _graph_id, fired = decode_result_frame(_from_wire(reply))
-            for _node_id, _name, outputs in fired:
+            unit = encode_units([(slot, node.without_children(), values)])
+            reply = yield ref.call(graph_id, _to_wire(unit))
+            for _node_id, _name, outputs in decode_results(_from_wire(reply)):
                 tag = emit_tags.get(node.node_id)
                 if tag is not None:
                     results[tag] = outputs
                 for child_slot, child in node.children:
                     queue.append((child_slot, child, outputs))
         return results
-
-    # ------------------------------------------------------------------
-    # Tracing
-    # ------------------------------------------------------------------
-    def _emit_epoch(self, ctx: Any, src: str, dst: str, epoch: int, units: int) -> None:
-        tracer = ctx.env.tracer
-        if tracer is not None:
-            tracer.emit("graph.epoch", shard=src, dst=dst, epoch=epoch, units=units)
 
     def pending_count(self) -> int:
         """Unresolved submissions (for tests and liveness checks)."""

@@ -191,10 +191,10 @@ class Environment:
             )
 
     # Timers that only need to invoke a function do not need an Event: no
-    # callbacks list, no outcome, nothing to wait on.  These three drop the
+    # callbacks list, no outcome, nothing to wait on.  These two drop the
     # callable and its argument tuple straight into the lane, at NORMAL
     # priority (urgent scheduling stays on :meth:`schedule`).  The insert
-    # is spelled out in each: they are the hottest calls in the simulator
+    # is spelled out in both: they are the hottest calls in the simulator
     # and a shared helper would cost every one of them a second frame.
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
@@ -204,19 +204,6 @@ class Environment:
                 "cannot schedule a callback in the past (when=%r, now=%r)"
                 % (when, self._now)
             )
-        lane = self._lanes.get(when)
-        if lane is None:
-            self._lanes[when] = [fn, args]
-            heappush(self._times, when)
-        else:
-            lane.append(fn)
-            lane.append(args)
-
-    def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn(*args)`` *delay* time units from now."""
-        if delay < 0:
-            raise ValueError("cannot schedule a callback in the past (delay=%r)" % delay)
-        when = self._now + delay
         lane = self._lanes.get(when)
         if lane is None:
             self._lanes[when] = [fn, args]

@@ -55,8 +55,8 @@ def test_same_timestamp_dispatch():
     env = Environment()
     vat = vat_of(env)
     seen = []
-    env.call_in(5.0, lambda: vat.do_soon(lambda _a: seen.append(env.now)))
-    env.call_in(9.0, lambda: vat.do_soon(lambda _a: seen.append(env.now)))
+    env.call_at(env.now + 5.0, lambda: vat.do_soon(lambda _a: seen.append(env.now)))
+    env.call_at(env.now + 9.0, lambda: vat.do_soon(lambda _a: seen.append(env.now)))
     env.run()
     # Each burst drains at the simulated time it was enqueued at.
     assert seen == [5.0, 9.0]
@@ -67,7 +67,7 @@ def test_run_to_completion_is_not_preempted_by_the_calendar():
     env = Environment()
     vat = vat_of(env)
     log = []
-    env.call_in(1.0, lambda: log.append("timer"))
+    env.call_at(env.now + 1.0, lambda: log.append("timer"))
 
     def first(_arg):
         log.append("first")

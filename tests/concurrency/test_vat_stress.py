@@ -37,7 +37,7 @@ def test_hundred_thousand_pending_promises_zero_processes():
         for promise in promises:
             promise.resolve(Outcome.normal(1))
 
-    env.call_in(1.0, resolve_all)
+    env.call_at(env.now + 1.0, resolve_all)
     env.run()
     elapsed = time.perf_counter() - start
     assert state["consumed"] == N
@@ -58,7 +58,7 @@ def test_hundred_thousand_promise_gather():
         for index, promise in enumerate(promises):
             promise.resolve(Outcome.normal(index))
 
-    env.call_in(1.0, resolve_all)
+    env.call_at(env.now + 1.0, resolve_all)
     env.run()
     (values,) = gathered.outcome().results
     assert len(values) == N and values[0] == 0 and values[-1] == N - 1
@@ -98,7 +98,7 @@ def _pend(n, consumer):
             for promise in promises:
                 promise.resolve(Outcome.normal(1))
 
-        env.call_in(1.0, resolve_all)
+        env.call_at(env.now + 1.0, resolve_all)
         env.run()
         assert all(promise.ready() for promise in promises)
         return state["consumed"], env._next_pid, tracemalloc.get_traced_memory()[1]

@@ -78,7 +78,7 @@ def test_when_resolved_fires_exactly_once(seed):
     times = rng.sample(range(1, 10 * n + 1), n)
     for index in range(n):
         if index not in pre_resolved:
-            env.call_in(times[index], promises[index].resolve,
+            env.call_at(env.now + times[index], promises[index].resolve,
                         Outcome.normal(index))
     env.run()
     # Late registrations on long-resolved promises still fire (via vat).
@@ -140,7 +140,7 @@ def test_chains_resolve_in_causal_order(seed):
     order = list(range(len(roots)))
     rng.shuffle(order)
     for position, index in enumerate(order):
-        env.call_in(position + 1.0, roots[index].resolve, Outcome.normal(0))
+        env.call_at(env.now + position + 1.0, roots[index].resolve, Outcome.normal(0))
     env.run()
     assert set(log) == set(parents)  # every chained callback fired
     assert len(log) == len(parents)
@@ -249,11 +249,11 @@ def _build_inputs(env, rng):
         seen.add(id(promise))
         when = next(times)
         if rng.random() < 0.25:
-            env.call_in(when, promise.resolve,
+            env.call_at(env.now + when, promise.resolve,
                         Outcome.exceptional(Signal("late%d" % k)))
             schedule.append((when, id(promise), "late%d" % k, None))
         else:
-            env.call_in(when, promise.resolve, Outcome.normal(value))
+            env.call_at(env.now + when, promise.resolve, Outcome.normal(value))
             schedule.append((when, id(promise), "ok", value))
     resolved_tag = {pid: (tag, value) for _w, pid, tag, value in schedule}
     # Delivery order: already-ready inputs in input order, then pending

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.graph import GraphBuilder, GraphError
+from repro.graph import EXEC_HANDLER, EXEC_ONE_HANDLER, GRAPH_GROUP, GraphBuilder, GraphError
+from repro.graph.codec import encode_units
 
 from ..conftest import run_client
 from .helpers import build_graph_system
@@ -213,3 +214,56 @@ def test_duplicate_emit_tags_are_rejected():
         return "rejected"
 
     assert run_client(system, main) == "rejected"
+
+
+def test_corrupt_units_fail_only_their_call():
+    # A units payload that does not decode is that call's failure; the
+    # client->shard stream survives and carries the next submit.
+    system, runtime = build_graph_system()
+    dest = runtime.router.shard_name(0)
+
+    def main(ctx):
+        ref = ctx.lookup(dest, EXEC_HANDLER, group=GRAPH_GROUP)
+        outcome = yield ref.stream(1, 0, True, "\xff\xff\xff\xff").wait()
+        assert outcome.exception.condition == "failure"
+        assert "DecodeError" in outcome.exception.reason
+        g = GraphBuilder()
+        g.source("t.add", captures=("k", 7), sched_key=0).emit("a")
+        value = yield runtime.submit(ctx, g)["a"].claim()
+        assert not ref.stream_sender.broken
+        return value
+
+    assert run_client(system, main) == 7
+
+
+def test_exec_one_rejects_a_payload_of_two_units():
+    system, runtime = build_graph_system()
+    g = GraphBuilder()
+    g.source("t.add", captures=("x", 1), sched_key=0)
+    g.source("t.add", captures=("y", 2), sched_key=0)
+    roots, _emits = g.compile()
+    payload = encode_units([(0, root, ()) for root in roots]).decode("latin-1")
+
+    def main(ctx):
+        ref = ctx.lookup(runtime.router.shard_name(0), EXEC_ONE_HANDLER, group=GRAPH_GROUP)
+        outcome = yield ref.stream(1, payload).wait()
+        return outcome
+
+    outcome = run_client(system, main)
+    assert outcome.exception.condition == "failure"
+    assert "got 2" in outcome.exception.reason
+
+
+def test_rpc_baseline_runs_twice_on_one_runtime():
+    # Collector inputs accumulate per (graph id, node id), so a second
+    # walk of the same DAG must not find the first walk's join fired.
+    system, runtime = build_graph_system()
+
+    def main(ctx):
+        first = yield from runtime.run_rpc(ctx, _chain_and_join(runtime))
+        second = yield from runtime.run_rpc(ctx, _chain_and_join(runtime))
+        return first, second
+
+    first, second = run_client(system, main)
+    assert first == EXPECTED
+    assert second["sum"] == (second["b"][0] + second["c"][0],)

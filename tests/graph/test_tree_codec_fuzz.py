@@ -2,9 +2,9 @@
 
 The graph twin of ``tests/encoding/test_codec_fuzz.py``, with the same
 three properties over randomly generated (but always type-correct)
-routine trees and frames:
+routine trees and the two payloads (units, results):
 
-1. **round trip** — decoding the encoding yields an equal tree / frame;
+1. **round trip** — decoding the encoding yields an equal tree / payload;
 2. **decode totality** — truncating the buffer at *every* prefix length
    raises :class:`DecodeError` and nothing else;
 3. **corruption totality** — flipping any single byte either still
@@ -23,16 +23,13 @@ from repro.encoding import DecodeError
 from repro.graph.codec import (
     FLAG_COLLECTOR,
     FLAG_EMIT,
-    FRAME_BATCHING,
     TreeNode,
-    decode_batch_frame,
-    decode_result_frame,
+    decode_results,
     decode_tree,
-    decode_unit_frame,
-    encode_batch_frame,
-    encode_result_frame,
+    decode_units,
+    encode_results,
     encode_tree,
-    encode_unit_frame,
+    encode_units,
     register_routine,
     routine,
 )
@@ -167,31 +164,28 @@ def test_tree_round_trip():
         assert decoded_mv == tree
 
 
-def test_batch_frame_round_trip_and_totality():
+def test_units_payload_round_trip_and_totality():
     rng = random.Random(SEED + 1)
-    for trial in range(20):
+    for _ in range(20):
         units = _random_units(rng, rng.randrange(1, 5))
-        flags = FRAME_BATCHING if trial % 2 else 0
-        frame = encode_batch_frame(7, "origin-g", trial, flags, units)
-        graph_id, origin, epoch, got_flags, got = decode_batch_frame(frame)
-        assert (graph_id, origin, epoch, got_flags) == (7, "origin-g", trial, flags)
-        assert got == units
-        assert decode_batch_frame(memoryview(frame)) == (
-            7, "origin-g", trial, flags, units,
-        )
-    _assert_decode_total(decode_batch_frame, frame)
+        payload = encode_units(units)
+        assert decode_units(payload) == units
+        assert decode_units(memoryview(payload)) == units
+    _assert_decode_total(decode_units, payload)
+    assert decode_units(encode_units([])) == []
 
 
-def test_unit_frame_round_trip_and_totality():
+def test_one_unit_payload_round_trip_and_totality():
+    # The per-edge RPC baseline ships a units payload holding one unit.
     rng = random.Random(SEED + 2)
     for _ in range(20):
-        ((slot, node, values),) = _random_units(rng, 1)
-        frame = encode_unit_frame(3, "cl", slot, node, values)
-        assert decode_unit_frame(frame) == (3, "cl", slot, node, values)
-    _assert_decode_total(decode_unit_frame, frame)
+        units = _random_units(rng, 1)
+        payload = encode_units(units)
+        assert decode_units(payload) == units
+    _assert_decode_total(decode_units, payload)
 
 
-def test_result_frame_round_trip_and_totality():
+def test_results_payload_round_trip_and_totality():
     rng = random.Random(SEED + 3)
     for _ in range(20):
         results = []
@@ -199,9 +193,11 @@ def test_result_frame_round_trip_and_totality():
             name = rng.choice(sorted(ROUTINES))
             outputs = _row_values(routine(name).output_types, rng)
             results.append((index, name, outputs))
-        frame = encode_result_frame(5, results)
-        assert decode_result_frame(frame) == (5, results)
-    _assert_decode_total(decode_result_frame, frame)
+        payload = encode_results(results)
+        assert decode_results(payload) == results
+        assert decode_results(memoryview(payload)) == results
+    _assert_decode_total(decode_results, payload)
+    assert decode_results(encode_results([])) == []
 
 
 def test_tree_truncation_every_prefix():

@@ -233,7 +233,7 @@ def test_continuation_run_keeps_monitors_clean_end_to_end(traced_env):
     for promise in promises:
         promise.when_fulfilled(lambda value: consumed.append(value))
     for index, promise in enumerate(promises):
-        env.call_in(1.0 + index, promise.resolve, Outcome.normal(index))
+        env.call_at(env.now + 1.0 + index, promise.resolve, Outcome.normal(index))
     env.run()
     assert len(consumed) == 21
     assert env.tracer.monitors.violations == []

@@ -39,9 +39,6 @@ class HeapCalendar:
     def call_at(self, when, fn, *args):
         self._push(when, NORMAL, fn, args)
 
-    def call_in(self, delay, fn, *args):
-        self._push(self._now + delay, NORMAL, fn, args)
-
     def call_soon(self, fn, *args):
         self._push(self._now, NORMAL, fn, args)
 
@@ -103,8 +100,6 @@ class Player:
                 env.schedule(event, op[1], op[2])
             elif kind == "call_at":
                 env.call_at(env._now + op[1], self.fired, label, actions)
-            elif kind == "call_in":
-                env.call_in(op[1], self.fired, label, actions)
             else:
                 env.call_soon(self.fired, label, actions)
 
@@ -142,7 +137,6 @@ def inserts(actions):
     return st.one_of(
         st.tuples(st.just("schedule"), DELAYS, st.sampled_from([NORMAL, URGENT]), actions),
         st.tuples(st.just("call_at"), DELAYS, actions),
-        st.tuples(st.just("call_in"), DELAYS, actions),
         st.tuples(st.just("call_soon"), actions),
     )
 

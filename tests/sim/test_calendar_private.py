@@ -1,7 +1,7 @@
 """Only ``repro.sim`` knows the inside of the calendar.
 
-Every other layer schedules through ``Environment.call_at`` / ``call_in``
-/ ``call_soon`` / ``schedule`` (DESIGN.md §8, §14: "the seam is one object
+Every other layer schedules through ``Environment.call_at`` /
+``call_soon`` / ``schedule`` (DESIGN.md §8, §14: "the seam is one object
 wide").  A file under ``src/`` outside ``src/repro/sim/`` that names the
 calendar's containers fails here — reading ``env._now`` stays allowed.
 """

@@ -76,8 +76,6 @@ def test_call_at_in_past_raises():
     env.run()
     with pytest.raises(ValueError):
         env.call_at(0.5, lambda: None)
-    with pytest.raises(ValueError):
-        env.call_in(-0.5, lambda: None)
     assert env.queued_event_count() == 0
 
 
