@@ -48,8 +48,10 @@ def run_naive_forks():
             pass
         # The paper's point: p2 never resolves.  Watchdog-bound the wait.
         done = p2.wait()
-        timer = ctx.env.timeout(WATCHDOG)
-        yield ctx.env.any_of([done, timer])
+        first = ctx.env.event()
+        for event in (done, ctx.env.timeout(WATCHDOG)):
+            event.callbacks.append(lambda _event: first.triggered or first.succeed())
+        yield first
         return ctx.now if done.processed else WATCHDOG
 
     process = client.spawn(main)

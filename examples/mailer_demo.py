@@ -36,7 +36,8 @@ def main() -> None:
 
     p1 = c1.spawn(c1_main)
     p2 = c2.spawn(c2_main)
-    system.run(until=system.env.all_of([p1, p2]))
+    for process in (p1, p2):
+        system.run(until=process)
     print("\nmax concurrent handler executions at the mailer: %d"
           % mailer.state["max_concurrent"])
     print("(2 = different clients' streams overlap; within one stream,")

@@ -28,18 +28,13 @@ class PromiseQueue:
         self,
         env: Environment,
         element_type: Optional[PromiseType] = None,
-        capacity: Optional[int] = None,
     ) -> None:
         self.env = env
         self.element_type = element_type
-        self._queue = BlockingQueue(env, capacity)
+        self._queue = BlockingQueue(env)
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    @property
-    def closed(self) -> bool:
-        return self._queue.closed
 
     @property
     def raw(self) -> BlockingQueue:
@@ -47,7 +42,7 @@ class PromiseQueue:
         return self._queue
 
     def enq(self, promise: Promise) -> Event:
-        """Enqueue a promise; yieldable (blocks only if bounded and full)."""
+        """Enqueue a promise; yieldable (never blocks: the queue is unbounded)."""
         if self.element_type is not None and isinstance(promise, Promise):
             if promise.ptype is not None and promise.ptype != self.element_type:
                 raise TypeError(

@@ -97,7 +97,9 @@ class GroupDispatcher(CallDispatcher):
             port = self.group.lookup(port_id)
             if port is None:
                 # The call is an error, but the stream survives.
-                receiver.fail_call(seq, "handler does not exist: %s" % port_id, kind)
+                receiver.post_outcome(
+                    seq, Outcome.failure("handler does not exist: %s" % port_id), kind, None
+                )
                 continue
             try:
                 args = ArgsCodec.for_type(port.handler_type).decode(args_bytes)

@@ -27,12 +27,11 @@ from repro.entities.agents import Agent
 from repro.entities.context import ActivityContext
 from repro.entities.dispatch import GroupDispatcher
 from repro.entities.ports import HandlerRef, Port, PortGroup
-from repro.net.message import Message
-from repro.net.network import Node, NodeDown
+from repro.net.network import Node
 from repro.sim.process import Process
 from repro.streams.receiver import StreamReceiver
 from repro.streams.sender import StreamSender
-from repro.streams.wire import BreakNotice, CallPacket, ReplyPacket, StreamKey
+from repro.streams.wire import BreakNotice, CallPacket, ReplyPacket, StreamKey, send_packet
 
 __all__ = ["Guardian", "TransportEndpoint"]
 
@@ -142,8 +141,6 @@ class TransportEndpoint:
                 guardian.system.stream_config,
             )
             self._receivers[packet.key] = receiver
-        if packet.entries:
-            receiver.virgin = False
         receiver.on_call_packet(packet)
 
     def _refuse(self, packet: CallPacket, reason: str, permanent: bool = True) -> None:
@@ -166,17 +163,7 @@ class TransportEndpoint:
                 synchronous=False, after_seq=0, reason=reason, permanent=permanent
             ),
         )
-        message = Message(
-            packet.key.dst_node,
-            packet.key.src_node,
-            packet.key.src_address,
-            reply,
-            reply.size,
-        )
-        try:
-            self.network.send(message)
-        except NodeDown:
-            pass
+        send_packet(self.network, reply)
 
     def abandon_agent(self, agent: Agent) -> None:
         """Restart every stream of *agent* that still has work in flight.
@@ -188,9 +175,7 @@ class TransportEndpoint:
         for key, sender in list(self._senders.items()):
             if key.agent_id != agent.agent_id:
                 continue
-            if sender.broken:
-                continue
-            if sender._has_unresolved() or sender._buffer or sender._unacked:
+            if not sender.broken and sender.has_outstanding():
                 sender.restart()
 
     # ------------------------------------------------------------------

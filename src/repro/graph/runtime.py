@@ -146,17 +146,16 @@ class _ShardEngine:
         if node.is_collector:
             state = self.ctx.guardian.state
             entry_key = ("graph.collect", self.graph_id, node.node_id)
-            entry = state.get(entry_key)
-            if entry is None:
-                entry = state[entry_key] = {"inputs": {}, "fired": False}
-            entry["inputs"][slot] = values
-            if entry["fired"] or len(entry["inputs"]) < node.n_inputs:
+            inputs = state.get(entry_key)
+            if inputs is None:
+                inputs = state[entry_key] = {}
+            inputs[slot] = values
+            if len(inputs) < node.n_inputs:
                 return
-            # Mark fired *before* yielding into execution so a sibling
-            # delivery racing through this guardian cannot fire it twice.
-            entry["fired"] = True
-            inputs = [entry["inputs"][i] for i in range(node.n_inputs)]
-            yield from self.execute(node, inputs)
+            # Each input arrives exactly once, so the join fires once: drop
+            # its entry before yielding into execution.
+            del state[entry_key]
+            yield from self.execute(node, [inputs[i] for i in range(node.n_inputs)])
         else:
             yield from self.execute(node, values)
 

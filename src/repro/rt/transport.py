@@ -42,7 +42,6 @@ from repro.streams.frames import (
     encode_hello,
     encode_packet,
 )
-from repro.streams.wire import CallPacket
 
 __all__ = ["TcpNetwork"]
 
@@ -225,11 +224,7 @@ class TcpNetwork(NodeTable):
                 old.abort()
             self._conns[decoded.node] = conn
             return
-        key = decoded.key
-        if isinstance(decoded, CallPacket):
-            src, dst, address = key.src_node, key.dst_node, key.dst_address
-        else:
-            src, dst, address = key.dst_node, key.src_node, key.src_address
+        src, dst, address = decoded.route
         # Hop into the calendar: simulated "now" advances to real time
         # and the packet is delivered as one calendar entry, so handler
         # dispatch interleaves deterministically with due timers.

@@ -6,7 +6,7 @@ queue under ``queue[pt]``.
 """
 
 from repro.sim.alarm import Alarm
-from repro.sim.events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Environment, Infinity
 from repro.sim.process import Interrupt, Process, ProcessKilled
 from repro.sim.rng import RngRegistry
@@ -14,11 +14,7 @@ from repro.sim.sync import BlockingQueue, QueueClosed
 
 __all__ = [
     "Alarm",
-    "AllOf",
-    "AnyOf",
     "BlockingQueue",
-    "Condition",
-    "ConditionValue",
     "Environment",
     "Event",
     "Infinity",

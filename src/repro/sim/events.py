@@ -20,7 +20,7 @@ from typing import Any, Callable, List, Optional
 
 from repro.sim.kernel import Environment, NORMAL
 
-__all__ = ["Event", "Timeout", "Condition", "AllOf", "AnyOf", "ConditionValue"]
+__all__ = ["Event", "Timeout"]
 
 _PENDING = object()
 
@@ -148,113 +148,6 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return "<Timeout delay=%r at 0x%x>" % (self._delay, id(self))
-
-
-class ConditionValue:
-    """Ordered mapping from events to outcomes, produced by conditions."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: List[Event] = []
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self.events:
-            raise KeyError(event)
-        return event.value
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def values(self) -> List[Any]:
-        """Outcome values of the fired events, in condition order."""
-        return [event.value for event in self.events]
-
-    def __repr__(self) -> str:
-        return "<ConditionValue %r>" % (self.values(),)
-
-
-class Condition(Event):
-    """Fires when *evaluate* says enough of the sub-events have fired.
-
-    A failed sub-event fails the whole condition immediately.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: Environment,
-        evaluate: Callable[[List[Event], int], bool],
-        events: List[Event],
-    ) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("all condition events must share one environment")
-
-        if not self._events:
-            self.succeed(ConditionValue())
-            return
-
-        for event in self._events:
-            if event.processed:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect_value(self) -> ConditionValue:
-        value = ConditionValue()
-        for event in self._events:
-            # Use `processed`, not `triggered`: a Timeout is triggered from
-            # birth (its outcome is fixed) but has not *happened* until it
-            # fires.
-            if event.processed and event.ok:
-                value.events.append(event)
-        return value
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defused = True
-            self.fail(event.value)
-            return
-        self._count += 1
-        if self._evaluate(self._events, self._count):
-            self.succeed(self._collect_value())
-
-    @property
-    def events(self) -> List[Event]:
-        return list(self._events)
-
-
-class AllOf(Condition):
-    """Condition satisfied once every sub-event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: Environment, events: List[Event]) -> None:
-        super().__init__(env, lambda evts, count: count == len(evts), events)
-
-
-class AnyOf(Condition):
-    """Condition satisfied once any sub-event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: Environment, events: List[Event]) -> None:
-        super().__init__(env, lambda evts, count: count >= 1, events)
 
 
 # Let the kernel's run loop inline the exact-class fire path for these two

@@ -36,7 +36,7 @@ lives in :mod:`repro.sim.process`.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 __all__ = [
     "Environment",
@@ -346,18 +346,6 @@ class Environment:
         from repro.sim.process import Process
 
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Any]):
-        """Condition event that fires when every event in *events* has."""
-        from repro.sim.events import AllOf
-
-        return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Any]):
-        """Condition event that fires when any event in *events* has."""
-        from repro.sim.events import AnyOf
-
-        return AnyOf(self, list(events))
 
 
 class _Stopper:

@@ -3,8 +3,9 @@
 The paper notes that the shared promise queue of Figure 4-1 "can be
 implemented using standard synchronization mechanisms such as semaphores [3]
 or monitors [8]".  Over the simulation kernel no such mechanism is needed:
-:class:`BlockingQueue` parks blocked getters and putters as kernel events
-and wakes them in FIFO order.
+:class:`BlockingQueue` parks blocked getters as kernel events and wakes
+them in FIFO order.  Like the paper's ``queue[pt]`` it is unbounded, so a
+put never blocks and there are no putters to park.
 """
 
 from __future__ import annotations
@@ -16,12 +17,6 @@ from repro.sim.events import Event
 from repro.sim.kernel import Environment
 
 __all__ = ["BlockingQueue", "QueueClosed"]
-
-
-class _PutEvent(Event):
-    """A blocked put: the event plus the item awaiting queue space."""
-
-    __slots__ = ("_pending_item",)
 
 
 class QueueClosed(Exception):
@@ -46,26 +41,19 @@ class BlockingQueue:
     empty.
     """
 
-    def __init__(self, env: Environment, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive, got %r" % (capacity,))
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[Event] = deque()
         self._closed: Optional[QueueClosed] = None
 
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed is not None
-
     def put(self, item: Any) -> Event:
-        """Enqueue *item*; blocks only when a capacity is set and reached."""
-        event = _PutEvent(self.env)
+        """Enqueue *item*; the returned event has already succeeded unless
+        the queue is closed."""
+        event = Event(self.env)
         if self._closed is not None:
             event.fail(self._closed)
             return event
@@ -75,10 +63,6 @@ class BlockingQueue:
                 getter.succeed(item)
                 event.succeed()
                 return event
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            self._putters.append(event)
-            event._pending_item = item
-            return event
         self._items.append(item)
         event.succeed()
         return event
@@ -88,7 +72,6 @@ class BlockingQueue:
         event = Event(self.env)
         if self._items:
             event.succeed(self._items.popleft())
-            self._admit_putter()
             return event
         if self._closed is not None:
             event.fail(self._closed)
@@ -97,7 +80,7 @@ class BlockingQueue:
         return event
 
     def close(self, reason: Any = None) -> None:
-        """Close the queue: all pending and future gets/puts fail.
+        """Close the queue: blocked and future gets, and future puts, fail.
 
         Items already queued remain retrievable through :meth:`get`, but
         blocked getters are failed immediately, which is
@@ -111,16 +94,3 @@ class BlockingQueue:
             if not getter.triggered:
                 getter.defused = True
                 getter.fail(self._closed)
-        while self._putters:
-            putter = self._putters.popleft()
-            if not putter.triggered:
-                putter.defused = True
-                putter.fail(self._closed)
-
-    def _admit_putter(self) -> None:
-        while self._putters:
-            putter = self._putters.popleft()
-            if not putter.triggered:
-                self._items.append(putter._pending_item)
-                putter.succeed()
-                return

@@ -22,8 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.outcome import Outcome
 from repro.encoding.errors import DecodeError, EncodeError
 from repro.encoding.transmit import OutcomeCodec
-from repro.net.message import Message
-from repro.net.network import Network, NodeDown
+from repro.net.network import Network
 from repro.sim.alarm import Alarm
 from repro.sim.kernel import Environment
 from repro.streams.config import StreamConfig
@@ -39,6 +38,7 @@ from repro.streams.wire import (
     ReplyEntry,
     ReplyPacket,
     StreamKey,
+    send_packet,
 )
 
 __all__ = ["StreamReceiver", "CallDispatcher", "ReceiverStats"]
@@ -118,13 +118,13 @@ class StreamReceiver:
 
         self.expected_seq = 1
         self.completed_seq = 0
-        #: True until the receiver accepts its first entry-bearing packet.
-        #: On a node that has crashed, the transport endpoint keeps
-        #: applying the stream-start rule (first transmission, entries
-        #: from seq 1) to virgin receivers: a receiver opened by an empty
-        #: packet (a reincarnation announce or a bare ack) must not let a
-        #: later retransmission deliver entries that may
-        #: already have executed before the crash.
+        #: True until the receiver is handed its first entry-bearing
+        #: packet.  On a node that has crashed, the transport endpoint
+        #: keeps applying the stream-start rule (first transmission,
+        #: entries from seq 1) to virgin receivers: a receiver opened by an
+        #: empty packet (a reincarnation announce or a bare ack) must not
+        #: let a later retransmission deliver entries that may already
+        #: have executed before the crash.
         self.virgin = True
         self.broken: Optional[BreakNotice] = None
         self._out_of_order: Dict[int, CallEntry] = {}
@@ -156,6 +156,8 @@ class StreamReceiver:
     # ------------------------------------------------------------------
     def on_call_packet(self, packet: CallPacket) -> None:
         """Process an incoming batch of call requests."""
+        if packet.entries:
+            self.virgin = False
         # The sender has resolved replies up to ack_reply_seq; forget them
         # (the log is insertion-ordered by seq, so they form a prefix).
         reply_log = self._reply_log
@@ -390,10 +392,6 @@ class StreamReceiver:
             # A send completed normally: only the watermark must travel.
             self._ack_alarm.arm_if_idle(self.config.ack_delay)
 
-    def fail_call(self, seq: int, reason: str, kind: str) -> None:
-        """Entity-layer helper: record a failure outcome for call *seq*."""
-        self.post_outcome(seq, Outcome.failure(reason), kind, None)
-
     def decode_failure(self, seq: int, kind: str, exc: DecodeError) -> None:
         """Argument decoding failed: fail the call and break the stream.
 
@@ -464,16 +462,7 @@ class StreamReceiver:
             # the accounting (StreamSender._window_allowance).
             window=self.config.max_inflight_calls,
         )
-        message = Message(
-            self.key.dst_node,
-            self.key.src_node,
-            self.key.src_address,
-            packet,
-            packet.size,
-        )
-        try:
-            self.network.send(message)
-        except NodeDown:
+        if not send_packet(self.network, packet):
             return
         self._last_acked_call = self.expected_seq - 1
         self._last_sent_completed = self.completed_seq
@@ -534,14 +523,3 @@ class StreamReceiver:
         self._out_of_order.clear()
         self.dispatcher.stop(notice.reason)
         self._flush_replies()
-
-    def break_stream(self, reason: str, permanent: bool = False) -> None:
-        """Explicit receiver-side break (e.g. guardian destroyed)."""
-        self._break(
-            BreakNotice(
-                synchronous=False,
-                after_seq=0,
-                reason=reason,
-                permanent=permanent,
-            )
-        )

@@ -35,8 +35,7 @@ from repro.core.outcome import Outcome
 from repro.core.promise import Promise
 from repro.encoding.errors import DecodeError, EncodeError
 from repro.encoding.transmit import ArgsCodec, OutcomeCodec
-from repro.net.message import Message
-from repro.net.network import Network, NodeDown
+from repro.net.network import Network
 from repro.obs.trace import mint_span
 from repro.sim.alarm import Alarm
 from repro.sim.events import Event
@@ -52,6 +51,7 @@ from repro.streams.wire import (
     CallPacket,
     ReplyPacket,
     StreamKey,
+    send_packet,
 )
 from repro.types.signatures import HandlerType
 
@@ -361,13 +361,7 @@ class StreamSender:
         return done
 
     def _finish_synch(self, done: Event, target: int) -> None:
-        exceptional = any(
-            self._synch_base < seq <= target for seq in self._exceptional_seqs
-        )
-        self._synch_base = max(self._synch_base, target)
-        self._exceptional_seqs = {
-            seq for seq in self._exceptional_seqs if seq > self._synch_base
-        }
+        exceptional = self._synch_point(target)
         if done.triggered:
             return
         if exceptional:
@@ -375,6 +369,18 @@ class StreamSender:
             done.fail(ExceptionReply())
         else:
             done.succeed()
+
+    def _synch_point(self, target: int) -> bool:
+        """Close the synch interval at call *target* (a synch or a regular
+        RPC); True if a call in it terminated exceptionally."""
+        exceptional = any(
+            self._synch_base < seq <= target for seq in self._exceptional_seqs
+        )
+        self._synch_base = max(self._synch_base, target)
+        self._exceptional_seqs = {
+            seq for seq in self._exceptional_seqs if seq > self._synch_base
+        }
+        return exceptional
 
     # ------------------------------------------------------------------
     # Restart
@@ -545,7 +551,7 @@ class StreamSender:
             if inflight > self.stats.max_inflight:
                 self.stats.max_inflight = inflight
         if not entries and not force:
-            if self._unacked or self._has_unresolved():
+            if self.has_outstanding():
                 self._rto_alarm.arm_if_idle(self._current_rto())
             return
         if flush_replies and entries and self._ready:
@@ -556,7 +562,7 @@ class StreamSender:
             # whole burst.
             flush_replies = False
         self._transmit(entries, flush_replies, synch_seq)
-        if self._unacked or self._has_unresolved():
+        if self.has_outstanding():
             self._rto_alarm.arm_if_idle(self._current_rto())
 
     def _note_window_stall(self, deferred: int) -> None:
@@ -588,17 +594,7 @@ class StreamSender:
             synch_seq=synch_seq,
             attempt=attempt,
         )
-        message = Message(
-            self.key.src_node,
-            self.key.dst_node,
-            self.key.dst_address,
-            packet,
-            packet.size,
-        )
-        try:
-            self.network.send(message)
-        except NodeDown:
-            # Our own node is down; the enclosing guardian is dead anyway.
+        if not send_packet(self.network, packet):
             return
         self._sent_ack_reply_seq = packet.ack_reply_seq
         self.stats.packets_sent += 1
@@ -621,6 +617,12 @@ class StreamSender:
     def _has_unresolved(self) -> bool:
         return self._next_resolve < self._next_seq
 
+    def has_outstanding(self) -> bool:
+        """True while the stream has work in hand: a call not yet resolved
+        here (buffered, held by the window, or in flight) or a transmitted
+        call the receiver has not acknowledged."""
+        return bool(self._unacked) or self._has_unresolved()
+
     # ------------------------------------------------------------------
     # Internal: timers
     # ------------------------------------------------------------------
@@ -642,7 +644,7 @@ class StreamSender:
     def _on_rto(self) -> None:
         if self.broken:
             return
-        if not self._unacked and not self._has_unresolved():
+        if not self.has_outstanding():
             return  # everything done; no need to retransmit
         self._retries += 1
         if self._retries > self.config.max_retries:
@@ -652,19 +654,26 @@ class StreamSender:
             if self.config.auto_restart:
                 self._reincarnate()
             return
-        self.stats.retransmissions += 1
         # Selective retransmission: skip everything the receiver has
         # already reported holding out of order.
         sacked = self._sacked
         entries = [e for e in self._unacked.values() if e.seq not in sacked]
+        # Back the timer off exponentially until an un-retransmitted
+        # packet is acked (Karn).
+        self._rto_backoff = min(self._rto_backoff * 2.0, 64.0)
+        self._resend(entries, self._retries)
+        self._rto_alarm.arm(self._current_rto())
+
+    def _resend(self, entries: List[CallEntry], attempt: int) -> None:
+        """Retransmit *entries*, the unacked calls the receiver does not
+        already hold (the RTO and fast retransmission share this)."""
+        self.stats.retransmissions += 1
         self.stats.retransmitted_calls_avoided += len(self._unacked) - len(entries)
         # Karn: a retransmitted seq can no longer yield an unambiguous
-        # RTT sample; back the timer off exponentially until an
-        # un-retransmitted packet is acked.
+        # RTT sample.
         send_times = self._send_times
         for entry in entries:
             send_times.pop(entry.seq, None)
-        self._rto_backoff = min(self._rto_backoff * 2.0, 64.0)
         self._shrink_batch()
         # Re-assert any pending flush/synch flags (they may have been
         # lost with the original packet).
@@ -672,9 +681,8 @@ class StreamSender:
             entries,
             self._pending_flush_replies or self._has_unresolved(),
             self._pending_synch_seq,
-            attempt=self._retries,
+            attempt=attempt,
         )
-        self._rto_alarm.arm(self._current_rto())
 
     # ------------------------------------------------------------------
     # Internal: reply processing
@@ -761,7 +769,7 @@ class StreamSender:
         # has moved: decided before the release, the last reply of an
         # exchange left the alarm armed with nothing outstanding.
         if progressed and not self.broken:
-            if self._unacked or self._has_unresolved():
+            if self.has_outstanding():
                 self._rto_alarm.arm(self._current_rto())
             else:
                 self._rto_alarm.cancel()
@@ -820,19 +828,8 @@ class StreamSender:
         if not gap:
             return
         self._fast_resent_for = ack_seq
-        self.stats.retransmissions += 1
         self.stats.fast_retransmits += 1
-        self.stats.retransmitted_calls_avoided += len(self._unacked) - len(gap)
-        send_times = self._send_times
-        for entry in gap:
-            send_times.pop(entry.seq, None)
-        self._shrink_batch()
-        self._transmit(
-            gap,
-            self._pending_flush_replies or self._has_unresolved(),
-            self._pending_synch_seq,
-            attempt=max(1, self._retries),
-        )
+        self._resend(gap, max(1, self._retries))
 
     def _release_in_order(self) -> None:
         """Resolve promises strictly in call order (§3 step 3)."""
@@ -884,10 +881,7 @@ class StreamSender:
             pending.promise.resolve(outcome)
         if pending.kind == KIND_RPC:
             # An RPC is a synch point: "since the last synch or regular RPC".
-            self._synch_base = max(self._synch_base, pending.seq)
-            self._exceptional_seqs = {
-                seq for seq in self._exceptional_seqs if seq > self._synch_base
-            }
+            self._synch_point(pending.seq)
         del self._pending[pending.seq]
 
     def _wake_synch_waiters(self) -> None:
@@ -925,9 +919,7 @@ class StreamSender:
         terminates with ``unavailable`` (or ``failure`` if permanent)."""
         if self.broken and self._break_exception is not None:
             return
-        self._had_outstanding_at_break = bool(
-            self._pending or self._unacked or self._buffer or self._ready
-        )
+        self._had_outstanding_at_break = self.has_outstanding()
         self.stats.breaks += 1
         tracer = self.env.tracer
         if tracer is not None:

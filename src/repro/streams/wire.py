@@ -10,11 +10,18 @@ rest on.
 Payloads (call arguments, outcomes) are already bytes, produced by
 :mod:`repro.encoding`; the header fields of the packets themselves are
 charged a fixed byte cost each so message sizes remain honest.
+
+Each packet knows its own ``route`` from its stream key, and
+:func:`send_packet` is the one way any end of a stream puts a packet on
+the network.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
+
+from repro.net.message import Message
+from repro.net.network import NodeDown
 
 __all__ = [
     "KIND_RPC",
@@ -31,6 +38,7 @@ __all__ = [
     "ENTRY_HEADER_BYTES",
     "SACK_RANGE_BYTES",
     "WINDOW_FIELD_BYTES",
+    "send_packet",
 ]
 
 #: An ordinary remote procedure call: transmitted immediately, caller waits.
@@ -196,6 +204,13 @@ class CallPacket:
     def size(self) -> int:
         return PACKET_HEADER_BYTES + sum(entry.size for entry in self.entries)
 
+    @property
+    def route(self) -> Tuple[str, str, str]:
+        """``(src node, dst node, address)``: calls travel from the
+        agent's node to the port group's address."""
+        key = self.key
+        return key.src_node, key.dst_node, key.dst_address
+
     def __repr__(self) -> str:
         return "<CallPacket inc=%d n=%d %r>" % (
             self.incarnation,
@@ -305,6 +320,13 @@ class ReplyPacket:
             size += WINDOW_FIELD_BYTES
         return size
 
+    @property
+    def route(self) -> Tuple[str, str, str]:
+        """``(src node, dst node, address)``: replies travel back from the
+        port group's node to the agent's endpoint."""
+        key = self.key
+        return key.dst_node, key.src_node, key.src_address
+
     def __repr__(self) -> str:
         extras = ""
         if self.sack_ranges:
@@ -319,3 +341,17 @@ class ReplyPacket:
             extras,
             " BROKEN" if self.broken else "",
         )
+
+
+def send_packet(network: Any, packet: Any) -> bool:
+    """Put *packet* on *network* as one datagram along its route.
+
+    Returns False when the sending node is down: the packet is lost with
+    it, and the guardian that would have sent it is dead anyway.
+    """
+    src, dst, address = packet.route
+    try:
+        network.send(Message(src, dst, address, packet, packet.size))
+    except NodeDown:
+        return False
+    return True

@@ -1,4 +1,4 @@
-"""``python -m repro.chaos``: the run and replay commands end to end."""
+"""``python -m repro.chaos``: the run, replay and shrink commands end to end."""
 
 import json
 import os
@@ -43,6 +43,39 @@ def test_run_reports_a_failing_workload(capsys, tmp_path):
     assert sorted(os.listdir(tmp_path)) == [
         "broken-echo-seed0.seed.json", "broken-echo-seed0.trace.jsonl",
     ]
+
+
+def test_shrink_has_nothing_to_do_on_a_passing_run(capsys):
+    assert main(["shrink", "--workload", "echo", "--seed", "0", "--intensity", "light"]) == 1
+    assert "echo seed=0 at intensity=light — nothing to shrink" in capsys.readouterr().out
+
+
+def test_shrink_writes_a_seed_file_that_replays(capsys, tmp_path):
+    class BrokenEcho(EchoWorkload):
+        def expected(self):
+            return {key: value + 1000 for key, value in super().expected().items()}
+
+    original = dict(WORKLOADS)
+    BrokenEcho.name = "broken-echo"
+    WORKLOADS["broken-echo"] = BrokenEcho
+    path = str(tmp_path / "broken-echo-seed0.json")
+    try:
+        code = main([
+            "shrink", "--workload", "broken-echo", "--seed", "0", "--intensity", "light",
+            "--out", path,
+        ])
+        shrunk = capsys.readouterr().out
+        replayed = main(["replay", path])
+    finally:
+        WORKLOADS.clear()
+        WORKLOADS.update(original)
+    assert code == 0
+    assert "minimal schedule: 0 op(s) after" in shrunk
+    assert "wrote %s" % path in shrunk
+    assert replayed == 0
+    out = capsys.readouterr().out
+    assert "ok   %s (broken-echo seed=0 verdict=fail)" % path in out
+    assert "replay: 1 seed(s), 0 drifted" in out
 
 
 def test_replay_passes_the_corpus(capsys):

@@ -43,7 +43,8 @@ def test_different_clients_overlap():
 
     p1 = c1.spawn(client_main)
     p2 = c2.spawn(client_main)
-    system.run(until=system.env.all_of([p1, p2]))
+    system.run(until=p1)
+    system.run(until=p2)
     assert mailer.state["max_concurrent"] == 2
 
 
@@ -90,7 +91,8 @@ def test_mailer_session_example():
 
     p1 = c1.spawn(c1_main)
     p2 = c2.spawn(c2_main)
-    system.run(until=system.env.all_of([p1, p2]))
+    system.run(until=p1)
+    system.run(until=p2)
     assert p1.value == ["hello"]  # sequencing: the send happened first
     assert p2.value == []
 

@@ -153,6 +153,29 @@ def test_the_engines_claims_hold_at_scale():
     assert batched_messages < unbatched_messages
 
 
+def test_fired_joins_leave_no_state_behind():
+    # Three submits of the 200-chain DAG (150 joins over 4 shards): once
+    # every promise has resolved, no shard may still hold a join entry.
+    system, runtime = build_graph_system(n_shards=4)
+
+    def main(ctx):
+        for round_ in (1, 2, 3):
+            graph, _routines, expected = _zipf_chains()
+            promises = runtime.submit(ctx, graph, batching=True)
+            for tag, promise in promises.items():
+                # t.add accumulates, so round r sums r times the values.
+                assert (yield promise.claim()) == round_ * expected[tag][0]
+
+    run_client(system, main)
+    left = [
+        key
+        for name in runtime.router.shard_names
+        for key in system.guardians[name].state
+        if isinstance(key, tuple) and key[0] == "graph.collect"
+    ]
+    assert left == []
+
+
 def test_node_func_migrates_to_the_value_owner():
     # t.mark reroutes by its actual input value.  Pick a value whose
     # owner shard differs from the static key's shard, and assert the

@@ -226,7 +226,8 @@ def test_many_clients_one_server_isolation():
     processes = [
         client.spawn(client_main, index * 100) for index, client in enumerate(clients)
     ]
-    system.run(until=system.env.all_of(processes))
+    for process in processes:
+        system.run(until=process)
     for index, process in enumerate(processes):
         assert process.value == [index * 100 + offset + 1 for offset in range(5)]
     # All 20 calls executed exactly once.

@@ -1,8 +1,8 @@
-"""Unit tests for events and conditions."""
+"""Unit tests for events."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event
+from repro.sim import Event
 
 
 def test_event_starts_untriggered(env):
@@ -88,59 +88,3 @@ def test_defused_failed_event_does_not_raise(env):
     event.defused = True
     event.fail(RuntimeError("handled"))
     env.run()  # no exception
-
-
-def test_all_of_waits_for_every_event(env):
-    events = [env.timeout(d, value=d) for d in (1.0, 3.0, 2.0)]
-    condition = AllOf(env, events)
-    env.run(until=condition)
-    assert env.now == 3.0
-    assert sorted(condition.value.values()) == [1.0, 2.0, 3.0]
-
-
-def test_any_of_fires_at_first_event(env):
-    events = [env.timeout(d, value=d) for d in (5.0, 2.0)]
-    condition = AnyOf(env, events)
-    env.run(until=condition)
-    assert env.now == 2.0
-    assert condition.value.values() == [2.0]
-
-
-def test_empty_all_of_fires_immediately(env):
-    condition = AllOf(env, [])
-    assert condition.triggered
-    assert len(condition.value) == 0
-
-
-def test_condition_fails_if_subevent_fails(env):
-    good = env.timeout(5.0)
-    bad = Event(env)
-    condition = AllOf(env, [good, bad])
-    bad.fail(ValueError("sub"))
-    with pytest.raises(ValueError, match="sub"):
-        env.run(until=condition)
-
-
-def test_condition_value_getitem(env):
-    a = env.timeout(1.0, value="a")
-    b = env.timeout(2.0, value="b")
-    condition = AllOf(env, [a, b])
-    env.run(until=condition)
-    assert condition.value[a] == "a"
-    assert condition.value[b] == "b"
-    assert a in condition.value
-
-
-def test_condition_mixed_environments_rejected():
-    env1, env2 = Environment(), Environment()
-    with pytest.raises(ValueError):
-        AllOf(env1, [env1.timeout(1), env2.timeout(1)])
-
-
-def test_env_helpers_all_of_any_of(env):
-    all_condition = env.all_of([env.timeout(1.0), env.timeout(2.0)])
-    env.run(until=all_condition)
-    assert env.now == 2.0
-    any_condition = env.any_of([env.timeout(1.0), env.timeout(5.0)])
-    env.run(until=any_condition)
-    assert env.now == 3.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import HEADER_BYTES, Message, Network
-from repro.sim import AllOf, Event, Timeout
+from repro.sim import Event, Timeout
 
 
 def test_event_trigger_copies_outcome(env):
@@ -45,21 +45,8 @@ def test_timeout_negative_rejected(env):
         env.timeout(-1)
 
 
-def test_condition_value_iteration(env):
-    a = env.timeout(1.0, value="a")
-    b = env.timeout(2.0, value="b")
-    condition = AllOf(env, [a, b])
-    env.run(until=condition)
-    assert list(condition.value) == [a, b]
-    assert len(condition.value) == 2
-    with pytest.raises(KeyError):
-        condition.value[Event(env)]
 
 
-def test_condition_events_property(env):
-    events = [env.timeout(1.0), env.timeout(2.0)]
-    condition = AllOf(env, events)
-    assert condition.events == events
 
 
 def test_active_process_is_none_outside_processes(env):

@@ -1,7 +1,5 @@
 """Unit tests for the blocking queue."""
 
-import pytest
-
 from repro.sim import BlockingQueue, QueueClosed
 
 
@@ -46,26 +44,6 @@ def test_queue_get_blocks_until_put(env):
     assert times == [4.0]
 
 
-def test_queue_capacity_blocks_putter(env):
-    queue = BlockingQueue(env, capacity=1)
-    log = []
-
-    def producer(env):
-        yield queue.put("a")
-        log.append(("put-a", env.now))
-        yield queue.put("b")
-        log.append(("put-b", env.now))
-
-    def consumer(env):
-        yield env.timeout(5.0)
-        item = yield queue.get()
-        log.append(("got", item, env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert ("put-a", 0.0) in log
-    assert ("put-b", 5.0) in log
 
 
 def test_queue_close_fails_blocked_getter(env):
@@ -106,8 +84,3 @@ def test_queue_len(env):
     queue.put(1)
     queue.put(2)
     assert len(queue) == 2
-
-
-def test_queue_invalid_capacity(env):
-    with pytest.raises(ValueError):
-        BlockingQueue(env, capacity=0)
