@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, List, Optional, Tuple
+from collections import Counter
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.schedule import ChaosSchedule
 from repro.chaos.workloads import CHAOS_NETWORK, CHAOS_STREAM_CONFIG, create_workload
@@ -59,6 +60,7 @@ class RunResult:
         driver_finished: bool,
         sim_time: float,
         event_count: int,
+        event_counts: Dict[str, int],
     ) -> None:
         self.workload = workload
         self.seed = seed
@@ -70,6 +72,9 @@ class RunResult:
         self.driver_finished = driver_finished
         self.sim_time = sim_time
         self.event_count = event_count
+        #: Trace events per type; they sum to ``event_count``.  Not in the
+        #: digest: a corpus record keeps them to say *what* drifted.
+        self.event_counts = event_counts
 
     @property
     def failed(self) -> bool:
@@ -188,5 +193,6 @@ def run_one(
         driver_finished=driver_finished,
         sim_time=system.now,
         event_count=len(system.tracer.events),
+        event_counts=dict(sorted(Counter(e.type for e in system.tracer.events).items())),
     )
 

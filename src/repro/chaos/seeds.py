@@ -3,7 +3,10 @@
 A seed file pins everything needed to re-execute one run bit-for-bit —
 workload, seed, intensity, the exact (usually shrunk) schedule — plus the
 verdict and digest the run produced when it was recorded.  Replaying
-asserts the engine still reproduces that exact observable behaviour:
+asserts the engine still reproduces that exact observable behaviour.
+A record also keeps the run's final simulated time and its trace event
+count per type, so a drifted replay names what moved (say,
+``process.resumed: recorded 59, replay produced 45``) next to the digest:
 
 * a corpus entry recorded as ``fail`` guards a *known bug* until it is
   fixed (then the entry is re-recorded as ``pass``, preserving the
@@ -51,6 +54,8 @@ def seed_record(result: RunResult, note: str = "") -> Dict[str, Any]:
             "digest": result.digest(),
             "problems": list(result.problems),
             "violations": list(result.violations),
+            "sim_time": round(result.sim_time, 6),
+            "event_counts": dict(result.event_counts),
         },
         "note": note,
     }
@@ -81,6 +86,8 @@ def replay_seed(record: Dict[str, Any]) -> Tuple[bool, RunResult, List[str]]:
 
     *ok* means the replay reproduced the recorded verdict *and* digest —
     i.e. the run's observable behaviour is unchanged since recording.
+    Each recorded figure that moved (the final simulated time, the trace
+    event count of one type) is one more mismatch line naming it.
     """
     schedule = ChaosSchedule.from_dict(record["schedule"])
     result = run_one(
@@ -101,6 +108,20 @@ def replay_seed(record: Dict[str, Any]) -> Tuple[bool, RunResult, List[str]]:
             "digest: recorded %s, replay produced %s"
             % (expect.get("digest"), result.digest())
         )
+    sim_time = round(result.sim_time, 6)
+    if "sim_time" in expect and sim_time != expect["sim_time"]:
+        mismatches.append(
+            "sim_time: recorded %r, replay produced %r" % (expect["sim_time"], sim_time)
+        )
+    recorded = expect.get("event_counts")
+    if recorded is not None:
+        produced = result.event_counts
+        for etype in sorted(set(recorded) | set(produced)):
+            if recorded.get(etype, 0) != produced.get(etype, 0):
+                mismatches.append(
+                    "%s: recorded %d, replay produced %d"
+                    % (etype, recorded.get(etype, 0), produced.get(etype, 0))
+                )
     return (not mismatches, result, mismatches)
 
 

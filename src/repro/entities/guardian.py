@@ -237,7 +237,10 @@ class Guardian:
 
         *impl* is a generator function ``impl(ctx, *args)`` run in a fresh
         process for each call; it may ``yield`` to block and ``return`` its
-        result, or raise :class:`~repro.core.exceptions.Signal`.
+        result, or raise :class:`~repro.core.exceptions.Signal`.  The
+        stream's dispatcher runs each call's first step (up to its first
+        ``yield``, or to its end) in its own turn, so a handler that never
+        blocks costs no start event.
         """
         if group not in self.groups:
             self.create_group(group)
@@ -279,14 +282,19 @@ class Guardian:
         return process
 
     def spawn_handler(self, port: Port, args: tuple, span: Any = None) -> Process:
-        """Run one handler call in a fresh process (fresh agent).
+        """Make the process for one handler call (fresh agent).
+
+        The process is built but not started: the dispatcher reports the
+        call as executing and then runs its first step itself
+        (:meth:`~repro.sim.process.Process.run_first_step`), so a handler
+        call needs no start event.
 
         *span* is the call's causal trace context (tracing only): attached
         to the process so that remote calls and forks the handler makes
         nest under the call that started it.
         """
         ctx = self.new_context(port.port_id)
-        process = self.env.process(port.impl(ctx, *args))
+        process = Process(self.env, port.impl(ctx, *args))
         if span is not None:
             process.span = span
         self._track(process)

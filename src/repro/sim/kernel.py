@@ -21,12 +21,13 @@ two kinds:
   the common case, costing nothing beyond the tuple Python builds anyway.
 
 URGENT events live apart, in a second ``time -> list of events`` dict that
-is almost always empty (a process start or an interrupt sits there only
-until the next fire).  The drain loop looks at it before every fire, so an
-URGENT event always runs before the NORMAL entries left at its timestamp
-and the order is exactly ``(time, priority, insertion order)``.  Nothing is
-ever removed from the middle of a lane: holders that need to cancel (see
-:class:`~repro.sim.alarm.Alarm`) make their callback a no-op instead.
+is almost always empty (a process start, a stream dispatcher's drain or an
+interrupt sits there only until the next fire).  The drain loop looks at
+it before every fire, so an URGENT event always runs before the NORMAL
+entries left at its timestamp and the order is exactly ``(time, priority,
+insertion order)``.  Nothing is ever removed from the middle of a lane:
+holders that need to cancel (see :class:`~repro.sim.alarm.Alarm`) make
+their callback a no-op instead.
 
 Simulated processes are Python generators that yield
 :class:`~repro.sim.events.Event` objects to block; the machinery for that
@@ -342,10 +343,13 @@ class Environment:
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator):
-        """Spawn a new simulated :class:`~repro.sim.process.Process`."""
-        from repro.sim.process import Process
+        """Spawn a new simulated :class:`~repro.sim.process.Process`; its
+        first step runs at an URGENT start event at the current time."""
+        from repro.sim.process import Process, _Initialize
 
-        return Process(self, generator)
+        process = Process(self, generator)
+        _Initialize(self, process)
+        return process
 
 
 class _Stopper:

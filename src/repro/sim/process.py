@@ -50,7 +50,9 @@ class ProcessKilled(Exception):
 
 
 class _Initialize(Event):
-    """Internal event used to start a freshly created process."""
+    """The URGENT start event :meth:`Environment.process` gives a new
+    process: its first step runs before the NORMAL entries left at the
+    current time."""
 
     __slots__ = ()
 
@@ -63,7 +65,13 @@ class _Initialize(Event):
 
 
 class Process(Event):
-    """A running simulated process; also an event for its own completion."""
+    """A running simulated process; also an event for its own completion.
+
+    Constructing one does not start it.  :meth:`Environment.process`
+    starts it at an URGENT start event; :meth:`run_first_step` instead runs
+    its first step at once, in the caller's turn (the stream dispatcher's
+    path for a handler call, DESIGN.md section 8).
+    """
 
     # _critical_depth and _wound_cause belong to the critical-section layer
     # (repro.concurrency.critical) which annotates processes; they are
@@ -108,7 +116,6 @@ class Process(Event):
                 pid=self.pid,
                 name=getattr(generator, "__name__", str(generator)),
             )
-        _Initialize(env, self)
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", self._generator)
@@ -123,6 +130,20 @@ class Process(Event):
     def target(self) -> Optional[Event]:
         """The event the process is currently suspended on."""
         return self._target
+
+    def run_first_step(self) -> None:
+        """Run the generator up to its first suspension point (or to its
+        end) now, instead of at a start event.
+
+        The step is the one a start event would run: the process is the
+        active process throughout, and finishing or failing triggers the
+        process event as usual.  The caller's active process is restored
+        afterwards.
+        """
+        env = self.env
+        caller = env._active_process
+        self._resume(None)
+        env._active_process = caller
 
     # ------------------------------------------------------------------
     # Interruption

@@ -70,3 +70,19 @@ def test_load_seed_rejects_bad_format(tmp_path):
     save_seed({"format": 99}, str(path))
     with pytest.raises(ValueError):
         load_seed(str(path))
+
+
+def test_replay_names_each_moved_count():
+    result = run_one("echo", seed=0)
+    record = seed_record(result)
+    counts = record["expect"]["event_counts"]
+    assert counts == result.event_counts
+    assert sum(counts.values()) == result.event_count
+    resumed = counts["process.resumed"]
+    counts["process.resumed"] = resumed + 2
+    record["expect"]["sim_time"] += 1.0
+    ok, _, mismatches = replay_seed(record)
+    assert not ok
+    assert "process.resumed: recorded %d, replay produced %d" % (resumed + 2, resumed) in mismatches
+    assert any(mismatch.startswith("sim_time: recorded") for mismatch in mismatches)
+    assert not any(mismatch.startswith("process.created") for mismatch in mismatches)

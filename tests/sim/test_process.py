@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Interrupt, ProcessKilled
+from repro.sim import Event, Interrupt, Process, ProcessKilled
 
 
 def test_process_returns_value(env):
@@ -200,3 +200,37 @@ def test_interrupt_while_waiting_detaches_from_target(env):
     # The original target never fired and has no leftover callbacks for the
     # process.
     assert not target.triggered
+
+
+def test_constructed_process_waits_for_its_start(env):
+    """Only ``env.process`` gives a process a start event; a bare
+    ``Process`` runs nothing until its first step is run."""
+    steps = []
+
+    def proc(env):
+        steps.append(env.active_process)
+        yield env.timeout(1.0)
+        return "done"
+
+    process = Process(env, proc(env))
+    assert env.queued_event_count() == 0
+    env.run()
+    assert steps == [] and process.is_alive
+    process.run_first_step()
+    assert steps == [process]
+    assert env.active_process is None  # the caller's (none) is restored
+    assert env.run(until=process) == "done"
+
+
+def test_first_step_that_returns_triggers_the_process_event(env):
+    def proc(env):
+        return 7
+        yield
+
+    process = Process(env, proc(env))
+    process.run_first_step()
+    assert process.triggered and process.ok and process.value == 7
+    seen = []
+    process.callbacks.append(lambda event: seen.append((env.now, event.value)))
+    env.run()
+    assert seen == [(0.0, 7)]
