@@ -13,7 +13,8 @@ the non-blocking probe.  Promises are strongly typed: a
 :class:`~repro.types.signatures.PromiseType` says what the normal results
 and declared exceptions may be, and the runtime enforces it when the promise
 resolves — so, unlike MultiLisp futures, no per-access runtime check is ever
-needed (benchmark E7 measures exactly this difference).
+needed (benchmark E7 measures exactly this difference).  Every resolve
+checks, through checkers compiled once per promise type (``check_reply``).
 
 Beyond the paper's blocking ``claim``, this module provides a
 *continuation* layer modelled on the E-rights vat scheme (0install's
@@ -43,7 +44,7 @@ from repro.core.exceptions import ArgusError, PromiseError, PromiseNotReady, Sig
 from repro.core.outcome import Outcome
 from repro.sim.events import Event
 from repro.sim.kernel import Environment
-from repro.types.checking import TypeViolation, check_results, check_value
+from repro.types.checking import TypeViolation, check_reply
 from repro.types.signatures import PromiseType
 
 __all__ = ["Promise", "BLOCKED", "READY"]
@@ -238,32 +239,30 @@ class Promise:
     # Internals
     # ------------------------------------------------------------------
     def _coerce(self, outcome: Outcome) -> Outcome:
-        if self.ptype is None:
+        """*outcome*, or the ``failure`` replacing it if it does not conform."""
+        ptype = self.ptype
+        if ptype is None:
             return outcome
         if outcome.is_normal:
-            try:
-                check_results(self.ptype.returns, outcome.results)
-            except TypeViolation as violation:
-                return Outcome.failure("could not decode: %s" % (violation,))
-            return outcome
-        exc = outcome.exception
-        if isinstance(exc, Signal):
-            declared = self.ptype.signals.get(exc.condition)
+            values, signal = outcome.results, None
+        else:
+            exc = outcome.exception
+            if not isinstance(exc, Signal):
+                return outcome
+            signal = exc.condition
+            declared = ptype.signals.get(signal)
             if declared is None:
-                return Outcome.failure(
-                    "undeclared exception %r raised by call" % exc.condition
-                )
-            sig_args = exc.exception_args()
-            if len(sig_args) != len(declared):
+                return Outcome.failure("undeclared exception %r raised by call" % signal)
+            values = exc.exception_args()
+            if len(values) != len(declared):
                 return Outcome.failure(
                     "exception %r has %d results, %d expected"
-                    % (exc.condition, len(sig_args), len(declared))
+                    % (signal, len(values), len(declared))
                 )
-            try:
-                for i, (tp, value) in enumerate(zip(declared, sig_args)):
-                    check_value(tp, value, "exception result %d" % i)
-            except TypeViolation as violation:
-                return Outcome.failure("could not decode: %s" % (violation,))
+        try:
+            check_reply(ptype, values, signal)
+        except TypeViolation as violation:
+            return Outcome.failure("could not decode: %s" % (violation,))
         return outcome
 
     @staticmethod

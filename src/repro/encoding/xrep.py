@@ -445,12 +445,26 @@ def _build_encoder(tp: Type):
             out: bytearray,
             _pack=_LEN.pack,
             _element=element_encoder,
+            _ints=isinstance(tp.element, IntType),
         ) -> None:
             cls = value.__class__
             if cls is not list and cls is not tuple:
                 if not isinstance(value, (list, tuple)):
                     raise EncodeError("expected array, got %r" % (value,))
             out += _pack(len(value))
+            if _ints:
+                # An array of exact ints is one struct call.  Anything else
+                # goes element by element: the element closure encodes an
+                # int subclass and names a bool or an int outside 64 bits.
+                for element in value:
+                    if element.__class__ is not int:
+                        break
+                else:
+                    try:
+                        out += struct.pack(">%dq" % len(value), *value)
+                        return
+                    except struct.error:
+                        pass
             for element in value:
                 _element(element, out)
 
@@ -631,6 +645,7 @@ def _build_decoder(tp: Type):
             _unpack=_LEN.unpack_from,
             _element=element_decoder,
             _minimum=minimum,
+            _ints=isinstance(tp.element, IntType),
         ) -> int:
             if offset + 4 > len(data):
                 raise DecodeError("truncated array count")
@@ -642,6 +657,9 @@ def _build_decoder(tp: Type):
                 )
             if count > 16777216:  # 2**24, as the reference decoder
                 raise DecodeError("array count %d is implausibly large" % (count,))
+            if _ints:  # the count guard above keeps the one struct call in bounds
+                out.append(list(struct.unpack_from(">%dq" % count, data, offset)))
+                return offset + 8 * count
             items: list = []
             for _ in range(count):
                 offset = _element(data, offset, items)

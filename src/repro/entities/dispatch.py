@@ -173,9 +173,9 @@ class GroupDispatcher(CallDispatcher):
     def _complete(self, call: Tuple, process: Process) -> bool:
         """Post the outcome of the finished handler *process*.
 
-        False, and nothing posted, when the handler was killed or
-        interrupted: its guardian crashed or the call was orphaned, and
-        no reply will be sent.
+        False, and nothing posted, when the handler was killed or its call
+        orphaned (no reply will be sent).  A handler interrupted while its
+        call stands (``terminate``) posts ``failure``, and the drain goes on.
         """
         receiver, seq, kind, port, span = call
         self._running.pop(process, None)
@@ -185,8 +185,12 @@ class GroupDispatcher(CallDispatcher):
             outcome = Outcome.exceptional(exc)
         except (Unavailable, Failure) as exc:
             outcome = Outcome.exceptional(type(exc)(*exc.args))
-        except (ProcessKilled, Interrupt):
+        except ProcessKilled:
             return False
+        except Interrupt:
+            if self._stopped or not self.guardian.alive:
+                return False
+            outcome = Outcome.failure("handler terminated")
         except Exception as exc:  # a bug in handler code
             outcome = Outcome.failure("handler crashed: %r" % (exc,))
         else:

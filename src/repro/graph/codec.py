@@ -37,7 +37,7 @@ from repro.encoding.xrep import (
     compile_decoder,
     compile_encoder,
 )
-from repro.types.signatures import Type
+from repro.types.signatures import PromiseType, Type
 
 __all__ = [
     "FLAG_COLLECTOR",
@@ -87,6 +87,8 @@ class RoutineSpec:
     tuple.  ``node_func(captures, inputs)``, when given, recomputes the
     scheduling key from the *actual* inputs; a delivery whose recomputed
     key hashes to a different shard migrates there instead of executing.
+    ``promise_type``, derived once, types every emit's promise, so its
+    compiled checkers are built once per routine, not once per promise.
     """
 
     __slots__ = (
@@ -97,6 +99,7 @@ class RoutineSpec:
         "output_types",
         "node_func",
         "cost",
+        "promise_type",
         "_capture_encoders",
         "_capture_decoders",
         "_input_encoders",
@@ -122,6 +125,7 @@ class RoutineSpec:
         self.output_types = tuple(output_types)
         self.node_func = node_func
         self.cost = cost
+        self.promise_type = PromiseType(returns=self.output_types)
         self._capture_encoders = tuple(compile_encoder(t) for t in self.capture_types)
         self._capture_decoders = tuple(compile_decoder(t) for t in self.capture_types)
         self._input_encoders = tuple(compile_encoder(t) for t in self.input_types)

@@ -44,7 +44,7 @@ from repro.graph.codec import (
     encode_units,
 )
 from repro.graph.router import ShardRouter
-from repro.types.signatures import BOOL, INT, STRING, HandlerType, PromiseType
+from repro.types.signatures import BOOL, INT, STRING, HandlerType
 
 __all__ = [
     "EXEC_HANDLER",
@@ -309,11 +309,7 @@ class GraphRuntime:
         for node_id, tag, spec in emits:
             if tag in promises:
                 raise GraphError("duplicate emit tag %r" % (tag,))
-            promise = Promise(
-                ctx.env,
-                ptype=PromiseType(returns=spec.output_types),
-                label="graph:%s" % tag,
-            )
+            promise = Promise(ctx.env, ptype=spec.promise_type, label="graph:%s" % tag)
             self._pending[(graph_id, node_id)] = promise
             promises[tag] = promise
         per_shard: Dict[int, List[Unit]] = {}

@@ -174,10 +174,14 @@ class ProcDecl(_Node):
         self.returns = returns
         self.signals = signals
         self.body = body
+        self._promise_type: Optional[PromiseType] = None
 
     def promise_type(self) -> PromiseType:
-        """The promise type of forks of this procedure (ht -> pt)."""
-        return PromiseType(returns=self.returns, signals=self.signals)
+        """The promise type of forks of this procedure (ht -> pt), derived
+        once so every fork's promise shares its compiled checkers."""
+        if self._promise_type is None:
+            self._promise_type = PromiseType(returns=self.returns, signals=self.signals)
+        return self._promise_type
 
 
 class ProgramDecl(_Node):

@@ -11,6 +11,10 @@ kind in :mod:`repro.types`:
    or corrupting any single byte, raises :class:`DecodeError` and never
    ``struct.error``/``IndexError``/``UnicodeDecodeError``.
 
+``ArrayOf(INT)`` crosses the codec in one struct call when every element
+is an exact ``int``; its own tests hold that path and the per-element one
+it falls back to to the same bytes and the same error messages.
+
 Deterministic by construction: one ``random.Random`` seeded per test, no
 time- or hash-order-dependence, so a failure replays exactly.
 """
@@ -21,8 +25,9 @@ import pytest
 
 from repro.core.exceptions import Failure, Signal, Unavailable
 from repro.core.outcome import Outcome
-from repro.encoding import DecodeError, PortDescriptor, encode_values, type_fingerprint
+from repro.encoding import DecodeError, EncodeError, PortDescriptor, encode_values, type_fingerprint
 from repro.encoding.transmit import ArgsCodec, OutcomeCodec, failing_user_type
+from repro.encoding.xrep import compile_decoder, compile_encoder, encode_value
 from repro.types import (
     BOOL,
     CHAR,
@@ -236,7 +241,60 @@ def test_user_type_codecs_are_cached_per_object_not_per_key():
     assert ArgsCodec.for_type(ok).encode(("poison",)) == encode_values(
         [benign], ("poison",)
     )
-    from repro.encoding import EncodeError
-
     with pytest.raises(EncodeError):
         ArgsCodec.for_type(bad).encode(("poison",))
+
+
+class _Int(int):
+    """An int subclass: valid for ``int``, but not the one-struct-call path."""
+
+
+def _int_array(rng):
+    """An ArrayOf(INT) value, sometimes with an element the fast path
+    must not take: a bool, an int outside 64 bits, an int subclass."""
+    items = [_value_for(INT, rng) for _ in range(rng.randrange(0, 40))]
+    roll = rng.randrange(6)
+    if items and roll < 4:
+        odd = (True, 2**63, -(2**63) - 1, _Int(rng.randrange(-99, 99)))[roll]
+        items[rng.randrange(len(items))] = odd
+    return tuple(items) if rng.random() < 0.3 else items
+
+
+def _encoded_or_error(encode, value):
+    out = bytearray()
+    try:
+        encode(value, out)
+    except EncodeError as exc:
+        return "error", str(exc), bytes(out)
+    return "ok", bytes(out)
+
+
+def test_int_array_encodes_as_the_reference_does():
+    tp = ArrayOf(INT)
+    encode = compile_encoder(tp)
+    rng = random.Random(SEED + 7)
+    cases = [[], (), [0], (1, 2), [False], [2**64], [_Int(5), 6]]
+    cases += [_int_array(rng) for _ in range(300)]
+    outcomes = set()
+    for value in cases:
+        got = _encoded_or_error(encode, value)
+        assert got == _encoded_or_error(lambda v, out: encode_value(tp, v, out), value)
+        outcomes.add(got[0])
+    assert outcomes == {"ok", "error"}
+
+
+def test_int_array_decode_is_total():
+    tp = ArrayOf(INT)
+    decode = compile_decoder(tp)
+    rng = random.Random(SEED + 8)
+    for count in (0, 1, 2, 33):
+        values = [_value_for(INT, rng) for _ in range(count)]
+        data = bytearray()
+        compile_encoder(tp)(values, data)
+        data = bytes(data)
+        out = []
+        assert decode(data, 0, out) == len(data) and out == [values]
+        assert decode(memoryview(data), 0, []) == len(data)
+        for cut in range(len(data)):
+            with pytest.raises(DecodeError):
+                decode(data[:cut], 0, [])

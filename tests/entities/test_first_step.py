@@ -160,7 +160,39 @@ def test_critical_section_entered_in_the_first_step_belongs_to_the_handler():
     assert seen["wounded"] is True
     assert "left" not in seen
     assert not process.ok and isinstance(process.value, Interrupt)
-    assert system.tracer.count("stream.call_completed") == 0
+    # The terminated call still stands, so it completes with failure.
+    (completed,) = system.tracer.events_of("stream.call_completed")
+    assert completed.fields["status"] == "failure"
+
+
+def test_terminated_handler_fails_its_call_and_the_stream_goes_on():
+    """A handler terminated while its call stands posts ``failure``; the
+    sequential drain goes on, so the next call runs and the stream holds."""
+    running = {}
+
+    def h(ctx, x):
+        running[x] = ctx.env.active_process
+        yield ctx.compute(10.0)
+        return x
+
+    system = ArgusSystem(latency=1.0, tracing=True)
+    server = system.create_guardian("server")
+    server.create_handler("h", ECHO, h)
+
+    def terminator(ctx):
+        yield ctx.sleep(15.0)
+        terminate(running[2], "stop")
+
+    server.spawn(terminator)
+    outcomes = run_client(system, lambda ctx: claim_all(ctx.lookup("server", "h"), [1, 2, 3]))
+    assert outcomes == [
+        ("ok", 1),
+        ("Failure", "failure('handler terminated')"),
+        ("ok", 3),
+    ]
+    completed = system.tracer.events_of("stream.call_completed")
+    assert [event.fields["status"] for event in completed] == ["normal", "failure", "normal"]
+    assert system.tracer.count("stream.break") == 0
 
 
 def test_stream_call_in_the_first_step_nests_under_the_calling_span():
