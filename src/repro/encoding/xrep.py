@@ -113,8 +113,27 @@ class PortDescriptor:
         return "<PortDescriptor %s@%s/%s>" % (self.port_id, self.node, self.group_address)
 
 
+def _utf8(text: str) -> bytes:
+    """*text* as UTF-8; a lone surrogate, which UTF-8 cannot carry, is an
+    :class:`EncodeError` like every other untransmissible value."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise EncodeError("cannot encode %r as UTF-8: %s" % (text, exc.reason)) from exc
+
+
+def _real(value: Any) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise EncodeError("real out of range: %r" % (value,)) from exc
+
+
 def _encode_str(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:
+        data = _utf8(text)  # raises the EncodeError
     out += _LEN.pack(len(data))
     out += data
 
@@ -144,7 +163,7 @@ def encode_value(tp: Type, value: Any, out: bytearray) -> None:
     if isinstance(tp, RealType):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise EncodeError("expected real, got %r" % (value,))
-        out += _REAL.pack(float(value))
+        out += _REAL.pack(_real(value))
         return
     if isinstance(tp, BoolType):
         if not isinstance(value, bool):
@@ -154,7 +173,7 @@ def encode_value(tp: Type, value: Any, out: bytearray) -> None:
     if isinstance(tp, CharType):
         if not isinstance(value, str) or len(value) != 1:
             raise EncodeError("expected char, got %r" % (value,))
-        data = value.encode("utf-8")
+        data = _utf8(value)
         out.append(len(data))
         out += data
         return
@@ -399,7 +418,7 @@ def _build_encoder(tp: Type):
                 return
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise EncodeError("expected real, got %r" % (value,))
-            out += _pack(float(value))
+            out += _pack(_real(value))
 
         return encode_real
     if isinstance(tp, BoolType):
@@ -415,7 +434,7 @@ def _build_encoder(tp: Type):
         def encode_char(value: Any, out: bytearray) -> None:
             if not isinstance(value, str) or len(value) != 1:
                 raise EncodeError("expected char, got %r" % (value,))
-            data = value.encode("utf-8")
+            data = _utf8(value)
             out.append(len(data))
             out += data
 
@@ -425,7 +444,10 @@ def _build_encoder(tp: Type):
         def encode_string(value: Any, out: bytearray, _pack=_LEN.pack) -> None:
             if value.__class__ is not str and not isinstance(value, str):
                 raise EncodeError("expected string, got %r" % (value,))
-            data = value.encode("utf-8")
+            try:
+                data = value.encode("utf-8")
+            except UnicodeEncodeError:
+                data = _utf8(value)  # raises the EncodeError
             out += _pack(len(data))
             out += data
 

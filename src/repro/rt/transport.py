@@ -8,7 +8,8 @@ one :class:`~repro.net.network.NodeTable`, so the node table and
 same-node delivery are the simulator's own code; this module adds only
 the carrier between processes: each packet travels as a length-prefixed
 frame (:mod:`repro.streams.frames`) over a TCP connection to the process
-hosting the destination node.
+hosting the destination node, naming its stream by a per-connection
+reference after the stream's first frame on that connection.
 
 The crucial design point: **TCP is treated as an unreliable datagram
 carrier, not a reliability layer.**  A connection that drops loses the
@@ -29,7 +30,7 @@ port (one that never listens) still receives replies.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.encoding.errors import DecodeError
 from repro.net.message import Message
@@ -42,6 +43,7 @@ from repro.streams.frames import (
     encode_hello,
     encode_packet,
 )
+from repro.streams.wire import StreamKey
 
 __all__ = ["TcpNetwork"]
 
@@ -56,6 +58,10 @@ class _Conn(asyncio.Protocol):
         self.peer = peer
         self.transport: Optional[asyncio.Transport] = None
         self.assembler = FrameAssembler()
+        #: Stream-key tables (key -> ref written, ref -> key read); they
+        #: die with the connection, so a redial starts both afresh.
+        self.refs: Dict[StreamKey, int] = {}
+        self.keys: List[StreamKey] = []
         self.closed = False
 
     # -- asyncio.Protocol ------------------------------------------------
@@ -63,16 +69,25 @@ class _Conn(asyncio.Protocol):
         self.transport = transport  # type: ignore[assignment]
 
     def data_received(self, data: bytes) -> None:
+        network = self.network
+        arrived = []
         try:
-            bodies = self.assembler.feed(data)
-            for body in bodies:
-                self.network._on_frame(self, decode_body(body), len(body))
+            for body in self.assembler.feed(data):
+                decoded = decode_body(body, self.keys)
+                if isinstance(decoded, Hello):
+                    network._on_hello(self, decoded.node)
+                else:
+                    arrived.append((decoded, len(body)))
         except DecodeError as exc:
             # A corrupted byte stream: kill the connection; retransmission
             # above recovers whatever was in flight.
-            self.network.stats_frames_corrupt += 1
-            self.network._trace("rt.conn_corrupt", peer=self.peer, error=str(exc))
+            network.stats_frames_corrupt += 1
+            network._trace("rt.conn_corrupt", peer=self.peer, error=str(exc))
             self.abort()
+        if arrived:
+            # One calendar entry per packet at the mapped real time, then
+            # one slice delivers the whole read, interleaved with timers.
+            network.driver.inject_each(network._deliver_remote, arrived)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.closed = True
@@ -107,8 +122,9 @@ class TcpNetwork(NodeTable):
         self.book: Dict[str, Tuple[str, int]] = {}
         #: peer node -> established connection (either direction).
         self._conns: Dict[str, _Conn] = {}
-        #: peer node -> frames waiting while a dial is in progress.
-        self._dialing: Dict[str, List[bytes]] = {}
+        #: peer node -> packets waiting while a dial is in progress; each
+        #: is framed against the new connection's key table.
+        self._dialing: Dict[str, List[Any]] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         #: Test hook: when > 0, every established connection is aborted
         #: after this many outgoing frames, simulating flaky peers.
@@ -145,8 +161,8 @@ class TcpNetwork(NodeTable):
             old.abort()
         self._conns[peer] = conn
         conn.write_frame(encode_frame(encode_hello(self.local_node)))
-        for data in self._dialing.pop(peer, []):
-            self._write(conn, data)
+        for packet in self._dialing.pop(peer, []):
+            self._write(conn, packet)
 
     # ------------------------------------------------------------------
     # Sending (the simulated-Network surface)
@@ -174,7 +190,6 @@ class TcpNetwork(NodeTable):
             stats = self.stats
             stats.messages_sent += 1
             stats.kernel_calls += 1
-            stats.bytes_sent += message.wire_bytes
             tracer = env.tracer
             if tracer is not None:
                 tracer.emit(
@@ -185,14 +200,14 @@ class TcpNetwork(NodeTable):
                     bytes=message.wire_bytes,
                     payload=type(message.payload).__name__,
                 )
-            data = encode_frame(encode_packet(message.payload))
+            packet = message.payload
             conn = self._conns.get(dst_name)
             if conn is not None and not conn.closed:
-                self._write(conn, data)
+                self._write(conn, packet)
             elif dst_name in self._dialing:
-                self._dialing[dst_name].append(data)
+                self._dialing[dst_name].append(packet)
             elif dst_name in self.book:
-                self._dialing[dst_name] = [data]
+                self._dialing[dst_name] = [packet]
                 self.driver.loop.create_task(self._dial(dst_name))
             else:
                 # No route: equivalent to sending to a crashed node.
@@ -201,7 +216,9 @@ class TcpNetwork(NodeTable):
                     "message.dropped", src=message.src, dst=dst_name, reason="no_route"
                 )
 
-    def _write(self, conn: _Conn, data: bytes) -> None:
+    def _write(self, conn: _Conn, packet: Any) -> None:
+        data = encode_frame(encode_packet(packet, conn.refs))
+        self.stats.bytes_sent += len(data)
         conn.write_frame(data)
         if self.reset_after_frames > 0:
             key = id(conn)
@@ -215,24 +232,16 @@ class TcpNetwork(NodeTable):
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
-    def _on_frame(self, conn: _Conn, decoded, nbytes: int) -> None:
-        if isinstance(decoded, Hello):
-            old = self._conns.get(decoded.node)
-            conn.peer = decoded.node
-            if old is not None and old is not conn and not old.closed:
-                # The peer redialed; the newest connection wins.
-                old.abort()
-            self._conns[decoded.node] = conn
-            return
-        src, dst, address = decoded.route
-        # Hop into the calendar: simulated "now" advances to real time
-        # and the packet is delivered as one calendar entry, so handler
-        # dispatch interleaves deterministically with due timers.
-        self.driver.inject(self._deliver_remote, src, dst, address, decoded, nbytes)
+    def _on_hello(self, conn: _Conn, node: str) -> None:
+        old = self._conns.get(node)
+        conn.peer = node
+        if old is not None and old is not conn and not old.closed:
+            # The peer redialed; the newest connection wins.
+            old.abort()
+        self._conns[node] = conn
 
-    def _deliver_remote(
-        self, src: str, dst: str, address: str, packet, nbytes: int
-    ) -> None:
+    def _deliver_remote(self, packet: Any, nbytes: int) -> None:
+        src, dst, address = packet.route
         node = self._nodes.get(dst)
         if node is None or not node.alive:
             self.stats.messages_dropped_crash += 1

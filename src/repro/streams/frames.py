@@ -10,9 +10,10 @@ module is that wire format: each packet becomes one **frame** —
 — so a TCP stream of frames is self-delimiting and a reader can recover
 packet boundaries from arbitrarily torn reads (:class:`FrameAssembler`).
 Call arguments and outcomes inside the packets are already bytes,
-produced by the PR 7 compiled flat codecs (:mod:`repro.encoding.xrep`);
-this layer only serializes the packet *structure* around them, in the
-same big-endian struct style as the value codecs.
+produced by the compiled flat codecs (:mod:`repro.encoding.xrep`); this
+layer only serializes the packet *structure* around them.  Each fixed
+part — a packet header, a call or reply entry head — is one struct, so
+it costs one ``pack`` to write and one ``unpack_from`` to read.
 
 Three frame types exist:
 
@@ -22,16 +23,29 @@ Three frame types exist:
 * ``CALL`` — a :class:`CallPacket`;
 * ``REPLY`` — a :class:`ReplyPacket`.
 
-Every malformed input — truncation, trailing garbage, unknown type or
-kind bytes, invalid UTF-8, oversized length prefixes — raises
-:class:`~repro.encoding.errors.DecodeError` and nothing else, so a
-transport can treat any decode failure as a corrupted connection.
+A packet names its stream by a **per-connection reference**, not by the
+six strings of its :class:`StreamKey`.  Each direction of a connection
+has its own table: the encoder's ``refs`` dict (key -> ref) and the
+decoder's ``keys`` list (ref -> key), both empty when the connection
+opens.  The first frame that uses a key carries ``ref == len(table)``
+and, after its header, the key's six strings; later frames carry the
+``u32`` ref alone, and the decoder hands back the same key object for
+every one of them.  A ref beyond ``len(table)`` is malformed.  TCP keeps
+one connection's frames in order, and a table lives and dies with its
+connection, so a definition always arrives before its uses.
+
+Every malformed input — truncation, trailing garbage, unknown type,
+kind or flag bytes, invalid UTF-8, undefined refs, oversized length
+prefixes — raises :class:`~repro.encoding.errors.DecodeError` and
+nothing else, so a transport can treat any decode failure as a
+corrupted connection.  A frame that fails to decode leaves the key
+table as it was.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.encoding.errors import DecodeError
 from repro.streams.wire import (
@@ -72,8 +86,22 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
 _SEQ = struct.Struct(">q")
-_U32 = struct.Struct(">I")
 _SPAN = struct.Struct(">qqq")
+#: type, key ref, incarnation, ack_reply_seq, flags, attempt, entry count
+_CALL_HEAD = struct.Struct(">BIIqBII")
+#: seq, kind byte, span-presence byte, port-id length, args length
+_CALL_ENTRY = struct.Struct(">qBBII")
+#: type, key ref, incarnation, ack_call_seq, completed_seq, flags,
+#: SACK-range count, entry count
+_REPLY_HEAD = struct.Struct(">BIIqqBII")
+#: seq, outcome length
+_REPLY_ENTRY = struct.Struct(">qI")
+#: break flags, after_seq, reason length
+_BREAK = struct.Struct(">BqI")
+_WINDOW = struct.Struct(">I")
+_SACK = struct.Struct(">qq")
+#: The lengths of a key definition's six strings.
+_KEY = struct.Struct(">6I")
 
 #: Call kinds on the wire; must stay stable across versions.
 _KIND_TO_BYTE = {KIND_RPC: 1, KIND_STREAM: 2, KIND_SEND: 3, KIND_BATCH: 4}
@@ -95,98 +123,79 @@ class Hello:
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
-def _w_str(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    out += _LEN.pack(len(data))
-    out += data
-
-
-def _w_bytes(out: bytearray, data: bytes) -> None:
-    out += _LEN.pack(len(data))
-    out += data
-
-
-def _w_key(out: bytearray, key: StreamKey) -> None:
-    _w_str(out, key.src_node)
-    _w_str(out, key.src_address)
-    _w_str(out, key.agent_id)
-    _w_str(out, key.dst_node)
-    _w_str(out, key.dst_address)
-    _w_str(out, key.group_id)
-
-
 def encode_hello(node: str) -> bytes:
     """The body of a ``HELLO`` frame for *node*."""
-    out = bytearray((FRAME_HELLO,))
-    _w_str(out, node)
+    data = node.encode("utf-8")
+    return bytes((FRAME_HELLO,)) + _LEN.pack(len(data)) + data
+
+
+def _encode_call(packet: CallPacket, ref: int, definition: bytes) -> bytes:
+    synch_seq = packet.synch_seq
+    flags = (1 if packet.flush_replies else 0) | (0 if synch_seq is None else 2)
+    entries = packet.entries
+    head = (FRAME_CALL, ref, packet.incarnation, packet.ack_reply_seq, flags, packet.attempt)
+    out = bytearray(_CALL_HEAD.pack(*head, len(entries)))
+    out += definition
+    if synch_seq is not None:
+        out += _SEQ.pack(synch_seq)
+    for entry in entries:
+        port = entry.port_id.encode("utf-8")
+        args = entry.args_bytes
+        span = entry.span
+        out += _CALL_ENTRY.pack(
+            entry.seq, _KIND_TO_BYTE[entry.kind], span is not None, len(port), len(args)
+        )
+        out += port
+        out += args
+        if span is not None:
+            out += _SPAN.pack(*span)
     return bytes(out)
 
 
-def _encode_call(packet: CallPacket) -> bytes:
-    out = bytearray((FRAME_CALL,))
-    _w_key(out, packet.key)
-    out += _U32.pack(packet.incarnation)
-    out += _SEQ.pack(packet.ack_reply_seq)
-    flags = 0
-    if packet.flush_replies:
-        flags |= 1
-    if packet.synch_seq is not None:
-        flags |= 2
-    out.append(flags)
-    if packet.synch_seq is not None:
-        out += _SEQ.pack(packet.synch_seq)
-    out += _U32.pack(packet.attempt)
-    out += _U32.pack(len(packet.entries))
-    for entry in packet.entries:
-        out += _SEQ.pack(entry.seq)
-        _w_str(out, entry.port_id)
-        out.append(_KIND_TO_BYTE[entry.kind])
-        _w_bytes(out, bytes(entry.args_bytes))
-        if entry.span is None:
-            out.append(0)
-        else:
-            out.append(1)
-            out += _SPAN.pack(*entry.span)
-    return bytes(out)
-
-
-def _encode_reply(packet: ReplyPacket) -> bytes:
-    out = bytearray((FRAME_REPLY,))
-    _w_key(out, packet.key)
-    out += _U32.pack(packet.incarnation)
-    out += _SEQ.pack(packet.ack_call_seq)
-    out += _SEQ.pack(packet.completed_seq)
-    flags = 0
-    if packet.broken is not None:
-        flags |= 1
-    if packet.window is not None:
-        flags |= 2
-    out.append(flags)
+def _encode_reply(packet: ReplyPacket, ref: int, definition: bytes) -> bytes:
     broken = packet.broken
+    window = packet.window
+    flags = (0 if broken is None else 1) | (0 if window is None else 2)
+    entries = packet.entries
+    head = (FRAME_REPLY, ref, packet.incarnation, packet.ack_call_seq, packet.completed_seq)
+    out = bytearray(_REPLY_HEAD.pack(*head, flags, len(packet.sack_ranges), len(entries)))
+    out += definition
     if broken is not None:
-        out.append((1 if broken.synchronous else 0) | (2 if broken.permanent else 0))
-        out += _SEQ.pack(broken.after_seq)
-        _w_str(out, broken.reason)
-    if packet.window is not None:
-        out += _U32.pack(packet.window)
-    out += _U32.pack(len(packet.sack_ranges))
+        reason = broken.reason.encode("utf-8")
+        bflags = (1 if broken.synchronous else 0) | (2 if broken.permanent else 0)
+        out += _BREAK.pack(bflags, broken.after_seq, len(reason))
+        out += reason
+    if window is not None:
+        out += _WINDOW.pack(window)
     for lo, hi in packet.sack_ranges:
-        out += _SEQ.pack(lo)
-        out += _SEQ.pack(hi)
-    out += _U32.pack(len(packet.entries))
-    for entry in packet.entries:
-        out += _SEQ.pack(entry.seq)
-        _w_bytes(out, bytes(entry.outcome_bytes))
+        out += _SACK.pack(lo, hi)
+    for entry in entries:
+        outcome = entry.outcome_bytes
+        out += _REPLY_ENTRY.pack(entry.seq, len(outcome))
+        out += outcome
     return bytes(out)
 
 
-def encode_packet(packet: Union[CallPacket, ReplyPacket]) -> bytes:
-    """The frame body for *packet* (no length prefix)."""
+def encode_packet(
+    packet: Union[CallPacket, ReplyPacket], refs: Dict[StreamKey, int]
+) -> bytes:
+    """The frame body for *packet* (no length prefix), naming its stream
+    through the connection's outgoing table *refs*: a key's first frame
+    defines it, and the table records it once that frame is built."""
     if isinstance(packet, CallPacket):
-        return _encode_call(packet)
-    if isinstance(packet, ReplyPacket):
-        return _encode_reply(packet)
-    raise TypeError("cannot frame %r" % (packet,))
+        encode = _encode_call
+    elif isinstance(packet, ReplyPacket):
+        encode = _encode_reply
+    else:
+        raise TypeError("cannot frame %r" % (packet,))
+    key = packet.key
+    ref = refs.get(key)
+    if ref is not None:
+        return encode(packet, ref, b"")
+    fields = [text.encode("utf-8") for text in key._tuple]
+    body = encode(packet, len(refs), _KEY.pack(*map(len, fields)) + b"".join(fields))
+    refs[key] = len(refs)
+    return body
 
 
 def encode_frame(body: bytes) -> bytes:
@@ -199,97 +208,70 @@ def encode_frame(body: bytes) -> bytes:
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
-class _Reader:
-    """Offset-threaded reader over one frame body."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        data = self.data
-        pos = self.pos
-        end = pos + count
-        if end > len(data):
-            raise DecodeError(
-                "truncated frame: wanted %d bytes at offset %d of %d"
-                % (count, pos, len(data))
-            )
-        self.pos = end
-        return data[pos:end]
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def seq(self) -> int:
-        return _SEQ.unpack(self.take(8))[0]
-
-    def span(self) -> Tuple[int, int, int]:
-        return _SPAN.unpack(self.take(24))
-
-    def str_(self) -> str:
-        length = self.u32()
-        if length > MAX_FRAME_BYTES:
-            raise DecodeError("string length %d exceeds frame limit" % (length,))
-        try:
-            return self.take(length).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError("invalid UTF-8 in frame: %s" % (exc,)) from None
-
-    def bytes_(self) -> bytes:
-        length = self.u32()
-        if length > MAX_FRAME_BYTES:
-            raise DecodeError("byte-field length %d exceeds frame limit" % (length,))
-        return self.take(length)
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise DecodeError(
-                "%d trailing bytes after frame payload" % (len(self.data) - self.pos,)
-            )
+def _take(data: bytes, pos: int, count: int) -> Tuple[bytes, int]:
+    end = pos + count
+    if end > len(data):
+        raise DecodeError(
+            "truncated frame: wanted %d bytes at offset %d of %d" % (count, pos, len(data))
+        )
+    return data[pos:end], end
 
 
-def _r_key(r: _Reader) -> StreamKey:
-    return StreamKey(
-        src_node=r.str_(),
-        src_address=r.str_(),
-        agent_id=r.str_(),
-        dst_node=r.str_(),
-        dst_address=r.str_(),
-        group_id=r.str_(),
-    )
+def _text(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError("invalid UTF-8 in frame: %s" % (exc,)) from None
 
 
-def _decode_call(r: _Reader) -> CallPacket:
-    key = _r_key(r)
-    incarnation = r.u32()
-    ack_reply_seq = r.seq()
-    flags = r.u8()
+def _r_key(data: bytes, pos: int, ref: int, keys: List[StreamKey]) -> Tuple[StreamKey, int]:
+    """The key *ref* names and the offset after it; a key the frame
+    defines comes back as a new :class:`StreamKey`, not yet in *keys*."""
+    if ref < len(keys):
+        return keys[ref], pos
+    if ref > len(keys):
+        raise DecodeError("stream ref %d is beyond the %d defined" % (ref, len(keys)))
+    lengths = _KEY.unpack_from(data, pos)
+    pos += _KEY.size
+    fields = []
+    for length in lengths:
+        raw, pos = _take(data, pos, length)
+        fields.append(_text(raw))
+    return StreamKey(*fields), pos
+
+
+def _done(data: bytes, pos: int) -> None:
+    if pos != len(data):
+        raise DecodeError("%d trailing bytes after frame payload" % (len(data) - pos,))
+
+
+def _decode_call(data: bytes, keys: List[StreamKey]) -> CallPacket:
+    _, ref, incarnation, ack_reply_seq, flags, attempt, count = _CALL_HEAD.unpack_from(data)
     if flags & ~3:
         raise DecodeError("unknown call-packet flags 0x%02x" % (flags,))
-    synch_seq: Optional[int] = r.seq() if flags & 2 else None
-    attempt = r.u32()
-    count = r.u32()
+    key, pos = _r_key(data, _CALL_HEAD.size, ref, keys)
+    synch_seq = None
+    if flags & 2:
+        (synch_seq,) = _SEQ.unpack_from(data, pos)
+        pos += _SEQ.size
     entries: List[CallEntry] = []
     for _ in range(count):
-        seq = r.seq()
-        port_id = r.str_()
-        kind_byte = r.u8()
+        seq, kind_byte, span_flag, port_len, args_len = _CALL_ENTRY.unpack_from(data, pos)
         kind = _BYTE_TO_KIND.get(kind_byte)
         if kind is None:
             raise DecodeError("unknown call kind byte %d" % (kind_byte,))
-        args_bytes = r.bytes_()
-        span_flag = r.u8()
         if span_flag > 1:
             raise DecodeError("unknown span-presence byte %d" % (span_flag,))
-        span = r.span() if span_flag else None
-        entries.append(CallEntry(seq, port_id, kind, args_bytes, span))
-    r.done()
+        port, pos = _take(data, pos + _CALL_ENTRY.size, port_len)
+        args, pos = _take(data, pos, args_len)
+        span = None
+        if span_flag:
+            span = _SPAN.unpack_from(data, pos)
+            pos += _SPAN.size
+        entries.append(CallEntry(seq, _text(port), kind, args, span))
+    _done(data, pos)
+    if ref == len(keys):
+        keys.append(key)
     return CallPacket(
         key,
         incarnation,
@@ -301,33 +283,41 @@ def _decode_call(r: _Reader) -> CallPacket:
     )
 
 
-def _decode_reply(r: _Reader) -> ReplyPacket:
-    key = _r_key(r)
-    incarnation = r.u32()
-    ack_call_seq = r.seq()
-    completed_seq = r.seq()
-    flags = r.u8()
+def _decode_reply(data: bytes, keys: List[StreamKey]) -> ReplyPacket:
+    (_, ref, incarnation, ack_call_seq, completed_seq, flags, sack_count, count) = (
+        _REPLY_HEAD.unpack_from(data)
+    )
     if flags & ~3:
         raise DecodeError("unknown reply-packet flags 0x%02x" % (flags,))
-    broken: Optional[BreakNotice] = None
+    key, pos = _r_key(data, _REPLY_HEAD.size, ref, keys)
+    broken = None
     if flags & 1:
-        bflags = r.u8()
+        bflags, after_seq, reason_len = _BREAK.unpack_from(data, pos)
         if bflags & ~3:
             raise DecodeError("unknown break flags 0x%02x" % (bflags,))
-        after_seq = r.seq()
-        reason = r.str_()
+        reason, pos = _take(data, pos + _BREAK.size, reason_len)
         broken = BreakNotice(
             synchronous=bool(bflags & 1),
             after_seq=after_seq,
-            reason=reason,
+            reason=_text(reason),
             permanent=bool(bflags & 2),
         )
-    window: Optional[int] = r.u32() if flags & 2 else None
-    sack_count = r.u32()
-    sack_ranges = tuple((r.seq(), r.seq()) for _ in range(sack_count))
-    count = r.u32()
-    entries = [ReplyEntry(r.seq(), r.bytes_()) for _ in range(count)]
-    r.done()
+    window = None
+    if flags & 2:
+        (window,) = _WINDOW.unpack_from(data, pos)
+        pos += _WINDOW.size
+    sack_ranges = []
+    for _ in range(sack_count):
+        sack_ranges.append(_SACK.unpack_from(data, pos))
+        pos += _SACK.size
+    entries = []
+    for _ in range(count):
+        seq, length = _REPLY_ENTRY.unpack_from(data, pos)
+        outcome, pos = _take(data, pos + _REPLY_ENTRY.size, length)
+        entries.append(ReplyEntry(seq, outcome))
+    _done(data, pos)
+    if ref == len(keys):
+        keys.append(key)
     return ReplyPacket(
         key,
         incarnation,
@@ -335,26 +325,33 @@ def _decode_reply(r: _Reader) -> ReplyPacket:
         ack_call_seq=ack_call_seq,
         completed_seq=completed_seq,
         broken=broken,
-        sack_ranges=sack_ranges,
+        sack_ranges=tuple(sack_ranges),
         window=window,
     )
 
 
-def decode_body(body: bytes) -> Any:
+def decode_body(body: bytes, keys: List[StreamKey]) -> Any:
     """Decode one frame body into a :class:`Hello`, :class:`CallPacket`
-    or :class:`ReplyPacket`; :class:`DecodeError` on anything malformed."""
+    or :class:`ReplyPacket`, resolving stream refs through the
+    connection's incoming table *keys* (a definition is appended once
+    the whole frame has decoded); :class:`DecodeError` on anything
+    malformed."""
     if not body:
         raise DecodeError("empty frame body")
-    r = _Reader(bytes(body))
-    ftype = r.u8()
-    if ftype == FRAME_HELLO:
-        node = r.str_()
-        r.done()
-        return Hello(node)
-    if ftype == FRAME_CALL:
-        return _decode_call(r)
-    if ftype == FRAME_REPLY:
-        return _decode_reply(r)
+    data = bytes(body)
+    ftype = data[0]
+    try:
+        if ftype == FRAME_CALL:
+            return _decode_call(data, keys)
+        if ftype == FRAME_REPLY:
+            return _decode_reply(data, keys)
+        if ftype == FRAME_HELLO:
+            (length,) = _LEN.unpack_from(data, 1)
+            node, pos = _take(data, 1 + _LEN.size, length)
+            _done(data, pos)
+            return Hello(_text(node))
+    except struct.error as exc:
+        raise DecodeError("truncated frame: %s" % (exc,)) from None
     raise DecodeError("unknown frame type byte %d" % (ftype,))
 
 
@@ -367,13 +364,10 @@ class FrameAssembler:
     splits the stream; bodies still go through :func:`decode_body`.
     """
 
-    __slots__ = ("_buffer", "_need")
+    __slots__ = ("_buffer",)
 
     def __init__(self) -> None:
         self._buffer = bytearray()
-        #: Body length of the frame under assembly, or None while the
-        #: 4-byte prefix itself is incomplete.
-        self._need: Optional[int] = None
 
     @property
     def pending_bytes(self) -> int:
@@ -382,24 +376,23 @@ class FrameAssembler:
 
     def feed(self, data: bytes) -> List[bytes]:
         """Absorb *data*; return the bodies of all frames now complete."""
-        self._buffer += data
-        bodies: List[bytes] = []
         buffer = self._buffer
-        while True:
-            if self._need is None:
-                if len(buffer) < 4:
-                    break
-                need = _LEN.unpack(bytes(buffer[:4]))[0]
-                if need > MAX_FRAME_BYTES:
-                    raise DecodeError(
-                        "announced frame of %d bytes exceeds the %d-byte limit"
-                        % (need, MAX_FRAME_BYTES)
-                    )
-                del buffer[:4]
-                self._need = need
-            if len(buffer) < self._need:
+        buffer += data
+        bodies: List[bytes] = []
+        pos = 0
+        end = len(buffer)
+        while end - pos >= 4:
+            (need,) = _LEN.unpack_from(buffer, pos)
+            if need > MAX_FRAME_BYTES:
+                raise DecodeError(
+                    "announced frame of %d bytes exceeds the %d-byte limit"
+                    % (need, MAX_FRAME_BYTES)
+                )
+            if end - pos - 4 < need:
                 break
-            bodies.append(bytes(buffer[: self._need]))
-            del buffer[: self._need]
-            self._need = None
+            pos += 4
+            bodies.append(bytes(buffer[pos : pos + need]))
+            pos += need
+        # One cut per read, however many frames it held.
+        del buffer[:pos]
         return bodies

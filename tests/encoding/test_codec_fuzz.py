@@ -298,3 +298,23 @@ def test_int_array_decode_is_total():
         for cut in range(len(data)):
             with pytest.raises(DecodeError):
                 decode(data[:cut], 0, [])
+
+
+@pytest.mark.parametrize(
+    "tp, value, message",
+    [
+        (STRING, "bad\ud800", "cannot encode 'bad\\ud800' as UTF-8: surrogates not allowed"),
+        (CHAR, "\udfff", "cannot encode '\\udfff' as UTF-8: surrogates not allowed"),
+        (ArrayOf(STRING), ["ok", "\ud800"], "cannot encode '\\ud800' as UTF-8"),
+        (RecordOf({"name": STRING}), {"name": "\udc80"}, "cannot encode '\\udc80' as UTF-8"),
+        (REAL, 10**400, "real out of range: 1000"),
+        (ArrayOf(REAL), [1.0, -(10**309)], "real out of range: -1000"),
+    ],
+)
+def test_untransmissible_values_raise_only_encode_error(tp, value, message):
+    """A lone surrogate and an int beyond float range are EncodeErrors,
+    with the same message from the compiled and the reference encoder."""
+    compiled = _encoded_or_error(compile_encoder(tp), value)
+    reference = _encoded_or_error(lambda v, out: encode_value(tp, v, out), value)
+    assert compiled[:2] == reference[:2]
+    assert compiled[0] == "error" and compiled[1].startswith(message)

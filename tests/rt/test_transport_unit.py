@@ -12,9 +12,10 @@ import pytest
 from repro.net.message import Message
 from repro.rt.host import RtHost
 from repro.rt.transport import _Conn
-from repro.streams.frames import encode_frame, encode_hello
+from repro.streams.frames import encode_frame, encode_hello, encode_packet
+from repro.streams.wire import CallPacket
 
-from tests.streams.test_frames import sample_call_packets
+from tests.streams.test_frames import make_key, sample_call_packets
 
 
 class FakeTransport:
@@ -89,3 +90,44 @@ def test_send_without_route_counts_a_drop(host):
     host.network.send(message)
     assert host.network.stats.messages_dropped_crash == before + 1
     assert host.network.stats.messages_sent == 1  # counted, then dropped
+
+
+def _peer_conn(host):
+    """An accepted connection that has said HELLO as ``node:peer``."""
+    conn = _accepted_conn(host)
+    conn.data_received(encode_frame(encode_hello("node:peer")))
+    return conn
+
+
+def test_bytes_sent_counts_the_frames_written(host):
+    conn = _peer_conn(host)
+    packet = CallPacket(make_key(src_node="node:a", dst_node="node:peer"), 0, [], 0)
+    for _ in range(2):
+        host.network.send(Message("node:a", "node:peer", "g:server", packet, 999))
+    first, second = conn.transport.written
+    assert host.network.stats.bytes_sent == len(first) + len(second)
+    # The second frame names the stream by its ref alone.
+    assert len(second) < len(first)
+    assert conn.refs == {packet.key: 0}
+
+
+def test_a_frame_by_ref_on_a_fresh_connection_kills_it(host):
+    refs = {}
+    packet = CallPacket(make_key(dst_node="node:a"), 0, [], 0)
+    encode_packet(packet, refs)
+    by_ref = encode_frame(encode_packet(packet, refs))
+    conn = _peer_conn(host)
+    conn.data_received(by_ref)
+    assert conn.transport.aborted
+    assert host.network.stats_frames_corrupt == 1
+    assert conn.keys == []
+
+
+def test_each_connection_keeps_its_own_tables(host):
+    packet = CallPacket(make_key(dst_node="node:gone"), 0, [], 0)
+    frame = encode_frame(encode_packet(packet, {}))
+    first, second = _accepted_conn(host), _accepted_conn(host)
+    first.data_received(frame)
+    second.data_received(frame)
+    assert first.keys == second.keys == [packet.key]
+    assert first.keys[0] is not second.keys[0]

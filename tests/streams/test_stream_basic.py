@@ -3,6 +3,7 @@
 
 from repro.core import Failure, Signal
 from repro.streams import StreamConfig
+from repro.types import REAL, STRING, HandlerType
 
 from .helpers import build_echo_world, run_main
 
@@ -186,6 +187,40 @@ def test_encode_failure_raises_immediately_no_promise():
             return "failed fast"
 
     assert run_main(system, client, main) == "failed fast"
+
+
+def test_untransmissible_values_fail_the_call_not_the_run():
+    """A lone surrogate (which UTF-8 cannot carry) in a reply, and a real
+    beyond float range in an argument, are encode failures like any
+    other: the reply resolves its call ``failure("could not encode: ...")``
+    and the argument fails the call at once."""
+    system, server, client = build_echo_world()
+
+    def label(ctx):
+        return "bad\ud800"
+        yield
+
+    def scale(ctx, x):
+        return x
+        yield
+
+    server.create_handler("label", HandlerType(args=[], returns=[STRING]), label)
+    server.create_handler("scale", HandlerType(args=[REAL], returns=[REAL]), scale)
+
+    def main(ctx):
+        try:
+            ctx.lookup("server", "scale").stream(10**400)
+            return "created a promise (wrong)"
+        except Failure as failure:
+            assert "could not encode: real out of range" in failure.reason
+        try:
+            yield ctx.lookup("server", "label").call()
+            return "claimed a value (wrong)"
+        except Failure as failure:
+            return failure.reason
+
+    reason = run_main(system, client, main)
+    assert reason.startswith("could not encode: cannot encode 'bad\\ud800' as UTF-8")
 
 
 def test_same_agent_same_group_shares_stream():

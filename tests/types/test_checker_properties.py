@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.encoding import EncodeError
-from repro.encoding.xrep import compile_encoder
+from repro.encoding.xrep import compile_encoder, encode_value
 from repro.types import (
     ANY,
     BOOL,
@@ -159,6 +159,8 @@ DIFFERENCES = {
     "only the external representation has 64 bits",
     "user": "the checker asks UserType.validate, the encoder asks to_external: "
     "two user callables that need not agree",
+    "surrogate": "a str holding a lone surrogate is a string to the checker; "
+    "UTF-8 cannot carry it, so the encoder refuses it",
     "refs": "HandlerType and PromiseType values are never transmissible, and a "
     "PortRefType value is checked by its handler type but encoded from its "
     "port descriptor",
@@ -182,12 +184,17 @@ def type_strategy(leaves):
     )
 
 
-#: Text without lone surrogates, which no Argus string can hold.
-TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+#: Characters and text, by whether they may hold a lone surrogate (drawn
+#: often enough that a run of the properties meets several).
+CHARS = {
+    False: st.characters(blacklist_categories=("Cs",)),
+    True: st.one_of(st.characters(), st.characters(whitelist_categories=("Cs",))),
+}
+TEXT = {listed: st.text(chars, max_size=3) for listed, chars in CHARS.items()}
 
 
-def _junk(big_ints):
-    ints = st.integers() if big_ints else st.integers(INT64_MIN, INT64_MAX)
+def _junk(listed):
+    ints = st.integers() if listed else st.integers(INT64_MIN, INT64_MAX)
     refs = st.sampled_from(
         [
             SimpleNamespace(handler_type=ECHO, port_id="p", ptype=ECHO.promise_type()),
@@ -195,7 +202,9 @@ def _junk(big_ints):
             SimpleNamespace(handler_type=ECHO, port_id=None),
         ]
     )
-    scalars = st.one_of(ints, st.floats(allow_nan=False), st.booleans(), TEXT, st.none(), refs)
+    scalars = st.one_of(
+        ints, st.floats(allow_nan=False), st.booleans(), TEXT[listed], st.none(), refs
+    )
     return st.recursive(
         scalars,
         lambda inner: st.one_of(
@@ -207,47 +216,49 @@ def _junk(big_ints):
     )
 
 
-#: Values of any shape, by whether ints may leave 64 bits.
+#: Values of any shape, by whether they may hit the listed value-level
+#: differences: ints beyond 64 bits and lone surrogates.
 JUNK = {False: _junk(False), True: _junk(True)}
 INTS = {False: st.integers(INT64_MIN, INT64_MAX), True: st.integers()}
 
 
-def value_for(draw, tp, big_ints):
+def value_for(draw, tp, listed):
     """A value for *tp*: conforming all the way down, or junk at some depth."""
     if draw(st.integers(0, 4)) == 0:
-        return draw(JUNK[big_ints])
+        return draw(JUNK[listed])
     if isinstance(tp, ArrayOf):
-        items = [value_for(draw, tp.element, big_ints) for _ in range(draw(st.integers(0, 3)))]
+        items = [value_for(draw, tp.element, listed) for _ in range(draw(st.integers(0, 3)))]
         return tuple(items) if draw(st.booleans()) else items
     if isinstance(tp, RecordOf):
-        return {fname: value_for(draw, ftype, big_ints) for fname, ftype in tp.fields}
+        return {fname: value_for(draw, ftype, listed) for fname, ftype in tp.fields}
     if tp is INT or tp is AGREEING_USER:
-        return draw(INTS[big_ints])
+        return draw(INTS[listed])
     if tp is REAL:
         return draw(st.floats(allow_nan=False))
     if tp is BOOL:
         return draw(st.booleans())
     if tp is CHAR:
-        return draw(st.characters(blacklist_categories=("Cs",)))
+        return draw(CHARS[listed])
     if tp is STRING:
-        return draw(TEXT)
+        return draw(TEXT[listed])
     if tp is NULL:
         return None
     if tp is DIVERGENT_USER:
         return draw(st.sampled_from(["ok", "no", 3]))
-    return draw(JUNK[big_ints])
+    return draw(JUNK[listed])
 
 
 @st.composite
-def typed_values(draw, types, big_ints):
+def typed_values(draw, types, listed):
     tp = draw(types)
-    return tp, value_for(draw, tp, big_ints)
+    return tp, value_for(draw, tp, listed)
 
 
-#: (type, value) pairs over the shared algebra, ints within 64 bits.
-SHARED_CASES = typed_values(type_strategy(SHARED_LEAVES), big_ints=False)
-#: (type, value) pairs over every kind of type, any int.
-ALL_CASES = typed_values(type_strategy(SHARED_LEAVES + DIFFERENT_LEAVES), big_ints=True)
+#: (type, value) pairs over the shared algebra: ints within 64 bits and
+#: text without lone surrogates.
+SHARED_CASES = typed_values(type_strategy(SHARED_LEAVES), listed=False)
+#: (type, value) pairs over every kind of type, any int, any text.
+ALL_CASES = typed_values(type_strategy(SHARED_LEAVES + DIFFERENT_LEAVES), listed=True)
 
 
 def rejection(check, *args):
@@ -259,9 +270,12 @@ def rejection(check, *args):
     return None
 
 
-def encoder_rejects(tp, value):
+def encoder_rejects(tp, value, encode=None):
     try:
-        compile_encoder(tp)(value, bytearray())
+        if encode is None:
+            compile_encoder(tp)(value, bytearray())
+        else:
+            encode(tp, value, bytearray())
     except EncodeError:
         return True
     return False
@@ -308,6 +322,15 @@ def test_result_violations_equal_the_frozen_walkers(cases, declared):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(ALL_CASES)
+def test_encoders_raise_nothing_but_encode_error(case):
+    """Over every type and value, listed differences included, the
+    compiled and the reference encoder refuse alike, with EncodeError."""
+    tp, value = case
+    assert encoder_rejects(tp, value) == encoder_rejects(tp, value, encode_value)
+
+
 # ----------------------------------------------------------------------
 # The listed differences, one example each
 # ----------------------------------------------------------------------
@@ -318,6 +341,8 @@ def test_result_violations_equal_the_frozen_walkers(cases, declared):
         ("any", ArrayOf(ANY), [object()]),
         ("int64", INT, 2**63),
         ("int64", ArrayOf(INT), [1, -(2**63) - 1]),
+        ("surrogate", STRING, "bad\ud800"),
+        ("surrogate", ArrayOf(CHAR), ["a", "\udfff"]),
         ("refs", ECHO, SimpleNamespace(handler_type=ECHO)),
         ("refs", ECHO.promise_type(), SimpleNamespace(ptype=ECHO.promise_type())),
         ("refs", PortRefType(ECHO), SimpleNamespace(handler_type=ECHO, port_id="p")),
